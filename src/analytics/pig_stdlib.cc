@@ -1,6 +1,8 @@
 #include "analytics/pig_stdlib.h"
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 
 #include "analytics/udfs.h"
 #include "columnar/rcfile.h"
@@ -33,6 +35,40 @@ struct Stdlib {
     return dict;
   }
 };
+
+/// A UDF's dictionary-bound state, built at its first evaluation (DEFINE
+/// may run before LOAD in a script). FOREACH evaluates a UDF from several
+/// executor threads at once, so the state is built under a mutex, once,
+/// and published through an atomic pointer; a failed build (no sequence
+/// partition loaded yet) is retried at the next evaluation.
+template <typename T>
+class LazyBinding {
+ public:
+  /// `make` returns Result<T>.
+  template <typename Make>
+  Result<const T*> Get(const Make& make) {
+    if (const T* bound = bound_.load(std::memory_order_acquire)) return bound;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (value_ == nullptr) {
+      UNILOG_ASSIGN_OR_RETURN(T value, make());
+      value_ = std::make_unique<T>(std::move(value));
+      bound_.store(value_.get(), std::memory_order_release);
+    }
+    return value_.get();
+  }
+
+ private:
+  std::mutex mu_;
+  std::unique_ptr<T> value_;
+  std::atomic<const T*> bound_{nullptr};
+};
+
+/// Binds a CountClientEvents for `pattern` to the current dictionary.
+Result<CountClientEvents> BindCounter(const Stdlib& lib,
+                                      const std::string& pattern) {
+  UNILOG_ASSIGN_OR_RETURN(auto dict, lib.Dictionary());
+  return CountClientEvents(*dict, events::EventPattern(pattern));
+}
 
 Result<Relation> LoadSequences(std::shared_ptr<Stdlib> lib,
                                const std::string& path) {
@@ -143,9 +179,7 @@ void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
               "CountClientEvents takes one pattern argument");
         }
         std::string pattern = args[0];
-        // Lazily bind the dictionary at first evaluation (DEFINE may run
-        // before LOAD in a script).
-        auto counter = std::make_shared<std::unique_ptr<CountClientEvents>>();
+        auto counter = std::make_shared<LazyBinding<CountClientEvents>>();
         return PigInterpreter::ScalarUdf(
             [lib, pattern, counter](const std::vector<Value>& call_args)
                 -> Result<Value> {
@@ -153,13 +187,11 @@ void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
                 return Status::InvalidArgument(
                     "CountClientEvents(sequence) expects one string column");
               }
-              if (*counter == nullptr) {
-                UNILOG_ASSIGN_OR_RETURN(auto dict, lib->Dictionary());
-                *counter = std::make_unique<CountClientEvents>(
-                    *dict, events::EventPattern(pattern));
-              }
-              return Value::Int(static_cast<int64_t>(
-                  (*counter)->Count(call_args[0].str_value())));
+              UNILOG_ASSIGN_OR_RETURN(
+                  const CountClientEvents* c,
+                  counter->Get([&] { return BindCounter(*lib, pattern); }));
+              return Value::Int(
+                  static_cast<int64_t>(c->Count(call_args[0].str_value())));
             });
       });
 
@@ -172,7 +204,7 @@ void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
               "ContainsClientEvents takes one pattern argument");
         }
         std::string pattern = args[0];
-        auto counter = std::make_shared<std::unique_ptr<CountClientEvents>>();
+        auto counter = std::make_shared<LazyBinding<CountClientEvents>>();
         return PigInterpreter::ScalarUdf(
             [lib, pattern, counter](const std::vector<Value>& call_args)
                 -> Result<Value> {
@@ -181,13 +213,10 @@ void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
                     "ContainsClientEvents(sequence) expects one string "
                     "column");
               }
-              if (*counter == nullptr) {
-                UNILOG_ASSIGN_OR_RETURN(auto dict, lib->Dictionary());
-                *counter = std::make_unique<CountClientEvents>(
-                    *dict, events::EventPattern(pattern));
-              }
-              return Value::Int(
-                  (*counter)->Count(call_args[0].str_value()) > 0 ? 1 : 0);
+              UNILOG_ASSIGN_OR_RETURN(
+                  const CountClientEvents* c,
+                  counter->Get([&] { return BindCounter(*lib, pattern); }));
+              return Value::Int(c->Count(call_args[0].str_value()) > 0 ? 1 : 0);
             });
       });
 
@@ -200,7 +229,7 @@ void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
               "ClientEventsFunnel needs at least one stage event");
         }
         std::vector<std::string> stages = args;
-        auto funnel = std::make_shared<std::unique_ptr<Funnel>>();
+        auto funnel = std::make_shared<LazyBinding<Funnel>>();
         return PigInterpreter::ScalarUdf(
             [lib, stages, funnel](const std::vector<Value>& call_args)
                 -> Result<Value> {
@@ -208,13 +237,13 @@ void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
                 return Status::InvalidArgument(
                     "ClientEventsFunnel(sequence) expects one string column");
               }
-              if (*funnel == nullptr) {
-                UNILOG_ASSIGN_OR_RETURN(auto dict, lib->Dictionary());
-                UNILOG_ASSIGN_OR_RETURN(Funnel f, Funnel::Make(*dict, stages));
-                *funnel = std::make_unique<Funnel>(std::move(f));
-              }
+              UNILOG_ASSIGN_OR_RETURN(
+                  const Funnel* f, funnel->Get([&]() -> Result<Funnel> {
+                    UNILOG_ASSIGN_OR_RETURN(auto dict, lib->Dictionary());
+                    return Funnel::Make(*dict, stages);
+                  }));
               return Value::Int(static_cast<int64_t>(
-                  (*funnel)->StagesCompleted(call_args[0].str_value())));
+                  f->StagesCompleted(call_args[0].str_value())));
             });
       });
 

@@ -32,6 +32,38 @@ void EmitLiterals(std::string* out, std::string_view input, size_t begin,
   out->append(input.data() + begin, end - begin);
 }
 
+// Decodes one token from `dec` and appends its bytes to *out, which holds
+// at most `expected_len` bytes (the block's length header). A token that
+// would grow *out past the header is rejected before anything is copied,
+// so a corrupt length can neither spin nor allocate beyond what the header
+// claims.
+Status DecodeToken(Decoder* dec, uint64_t expected_len, std::string* out) {
+  std::string_view tag;
+  UNILOG_RETURN_NOT_OK(dec->GetBytes(1, &tag));
+  const uint64_t room = expected_len - out->size();
+  if (tag[0] == '\x00') {
+    std::string_view lit;
+    UNILOG_RETURN_NOT_OK(dec->GetLengthPrefixed(&lit));
+    if (lit.size() > room) return Status::Corruption("lz: length mismatch");
+    out->append(lit.data(), lit.size());
+    return Status::OK();
+  }
+  if (tag[0] != '\x01') return Status::Corruption("lz: bad token tag");
+  uint64_t dist, len;
+  UNILOG_RETURN_NOT_OK(dec->GetVarint64(&dist));
+  UNILOG_RETURN_NOT_OK(dec->GetVarint64(&len));
+  if (dist == 0 || dist > out->size()) {
+    return Status::Corruption("lz: bad match distance");
+  }
+  if (len > room) return Status::Corruption("lz: length mismatch");
+  size_t src = out->size() - dist;
+  // Byte-by-byte copy: matches may overlap their own output.
+  for (uint64_t k = 0; k < len; ++k) {
+    out->push_back((*out)[src + k]);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void Lz::Compressor::CompressTo(std::string_view input, std::string* out) {
@@ -138,29 +170,10 @@ Result<std::string> Lz::Decompress(std::string_view block) {
   uint64_t expected_len;
   UNILOG_RETURN_NOT_OK(dec.GetVarint64(&expected_len));
   std::string out;
-  out.reserve(expected_len);
+  // Cap the reservation: a corrupt header must not drive a huge allocation.
+  out.reserve(static_cast<size_t>(std::min<uint64_t>(expected_len, 1u << 20)));
   while (!dec.AtEnd()) {
-    std::string_view tag;
-    UNILOG_RETURN_NOT_OK(dec.GetBytes(1, &tag));
-    if (tag[0] == '\x00') {
-      std::string_view lit;
-      UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&lit));
-      out.append(lit.data(), lit.size());
-    } else if (tag[0] == '\x01') {
-      uint64_t dist, len;
-      UNILOG_RETURN_NOT_OK(dec.GetVarint64(&dist));
-      UNILOG_RETURN_NOT_OK(dec.GetVarint64(&len));
-      if (dist == 0 || dist > out.size()) {
-        return Status::Corruption("lz: bad match distance");
-      }
-      size_t src = out.size() - dist;
-      // Byte-by-byte copy: matches may overlap their own output.
-      for (uint64_t k = 0; k < len; ++k) {
-        out.push_back(out[src + k]);
-      }
-    } else {
-      return Status::Corruption("lz: bad token tag");
-    }
+    UNILOG_RETURN_NOT_OK(DecodeToken(&dec, expected_len, &out));
   }
   if (out.size() != expected_len) {
     return Status::Corruption("lz: length mismatch");
@@ -194,37 +207,8 @@ Status Lz::IncrementalDecompressor::DecodeUntil(size_t target) {
       return Status::OK();
     }
     Decoder dec(rest_);
-    std::string_view tag;
-    status_ = dec.GetBytes(1, &tag);
+    status_ = DecodeToken(&dec, expected_, &out_);
     if (!status_.ok()) return status_;
-    if (tag[0] == '\x00') {
-      std::string_view lit;
-      status_ = dec.GetLengthPrefixed(&lit);
-      if (!status_.ok()) return status_;
-      out_.append(lit.data(), lit.size());
-    } else if (tag[0] == '\x01') {
-      uint64_t dist, len;
-      status_ = dec.GetVarint64(&dist);
-      if (!status_.ok()) return status_;
-      status_ = dec.GetVarint64(&len);
-      if (!status_.ok()) return status_;
-      if (dist == 0 || dist > out_.size()) {
-        status_ = Status::Corruption("lz: bad match distance");
-        return status_;
-      }
-      size_t src = out_.size() - dist;
-      // Byte-by-byte copy: matches may overlap their own output.
-      for (uint64_t k = 0; k < len; ++k) {
-        out_.push_back(out_[src + k]);
-      }
-    } else {
-      status_ = Status::Corruption("lz: bad token tag");
-      return status_;
-    }
-    if (out_.size() > expected_) {
-      status_ = Status::Corruption("lz: length mismatch");
-      return status_;
-    }
     rest_ = rest_.substr(dec.position());
   }
   return Status::OK();

@@ -43,9 +43,11 @@ DaemonStats ScribeDaemon::stats() const {
 }
 
 void ScribeDaemon::Start() {
-  if (started_) return;
-  started_ = true;
-  ScheduleFlush();
+  if (flush_timer_) return;
+  // Flush() returns at once on an empty queue, before any backoff, gauge
+  // or RNG work, so an idle daemon's grid instants leave no trace.
+  flush_timer_ = sim_->JoinGrid(options_.daemon_flush_interval_ms,
+                                [this]() { Flush(); });
 }
 
 void ScribeDaemon::Log(LogEntry entry) {
@@ -66,13 +68,6 @@ void ScribeDaemon::Log(LogEntry entry) {
 
 void ScribeDaemon::Log(const std::string& category, std::string message) {
   Log(LogEntry{category, std::move(message)});
-}
-
-void ScribeDaemon::ScheduleFlush() {
-  sim_->After(options_.daemon_flush_interval_ms, [this]() {
-    Flush();
-    ScheduleFlush();
-  });
 }
 
 Aggregator* ScribeDaemon::Discover() {

@@ -61,7 +61,12 @@ class ScribeDaemon {
   /// batches to an aggregator. Call before Start().
   void SetBrokerFleet(broker::BrokerFleet* fleet) { fleet_ = fleet; }
 
-  /// Starts the periodic flush loop.
+  /// Starts the periodic flush: subscribes the daemon to the simulator's
+  /// shared flush grid for (Now(), daemon_flush_interval_ms), so it
+  /// flushes at Now() + k·interval like a timer of its own, and daemons
+  /// started at the same instant flush in Start() order. An idle daemon
+  /// costs no simulator event; its grid keeps one per instant. Entries
+  /// logged before Start() go out at the first grid instant.
   void Start();
 
   /// Queues one log entry (the application-facing API).
@@ -88,7 +93,6 @@ class ScribeDaemon {
     TimeMs logged_at = 0;
   };
 
-  void ScheduleFlush();
   /// Picks a live aggregator from ZooKeeper; nullptr when none registered.
   Aggregator* Discover();
   bool FlushToAggregator();
@@ -128,13 +132,12 @@ class ScribeDaemon {
   obs::Gauge* queue_depth_;
   obs::Histogram* batch_entries_;
 
-  bool started_ = false;
   Aggregator* current_ = nullptr;
   broker::BrokerFleet* fleet_ = nullptr;
   // Cached partition leader per category; invalidated on rejection/death.
   std::map<std::string, broker::BrokerNode*> leader_cache_;
   // Send batch assembled from queue_ each flush; member so its capacity is
-  // reused across the once-per-second flush timer.
+  // reused across flushes.
   std::vector<LogEntry> batch_;
   // Pooled body buffers for batched broker produce: the framed body is
   // assembled in a lease, compressed once, and the lease returns its grown
@@ -151,6 +154,9 @@ class ScribeDaemon {
   std::map<std::string, uint64_t> next_seq_;
   TimeMs backoff_until_ = 0;
   int fail_streak_ = 0;
+  // Last member, so it unsubscribes before the state its callback uses
+  // goes away.
+  Simulator::GridSubscription flush_timer_;
 };
 
 }  // namespace unilog::scribe

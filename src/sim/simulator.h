@@ -3,7 +3,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -16,8 +19,34 @@ namespace unilog {
 /// simulator executes them in (time, insertion-order) order, so a given
 /// seed always produces the exact same run.
 class Simulator {
+  struct Grid;
+
  public:
   using Callback = std::function<void()>;
+
+  /// Membership in a shared periodic timer (see JoinGrid). Destroying or
+  /// resetting it unsubscribes; it may outlive the simulator.
+  class GridSubscription {
+   public:
+    GridSubscription() = default;
+    ~GridSubscription() { Reset(); }
+    GridSubscription(GridSubscription&& other) noexcept = default;
+    GridSubscription& operator=(GridSubscription&& other) noexcept;
+    GridSubscription(const GridSubscription&) = delete;
+    GridSubscription& operator=(const GridSubscription&) = delete;
+
+    /// Unsubscribes; the callback never runs again.
+    void Reset();
+    explicit operator bool() const { return grid_ != nullptr; }
+
+   private:
+    friend class Simulator;
+    GridSubscription(std::shared_ptr<Grid> grid, uint64_t id)
+        : grid_(std::move(grid)), id_(id) {}
+
+    std::shared_ptr<Grid> grid_;
+    uint64_t id_ = 0;
+  };
 
   explicit Simulator(TimeMs start_time = 0)
       : now_(start_time) {}
@@ -34,6 +63,18 @@ class Simulator {
 
   /// Schedules `cb` after `delay` milliseconds of virtual time.
   void After(TimeMs delay, Callback cb) { At(now_ + delay, std::move(cb)); }
+
+  /// Subscribes `cb` to the shared timer that ticks at Now() + k·interval
+  /// (k ≥ 1; intervals below 1 ms count as 1 ms) for as long as the
+  /// returned subscription lives. All subscribers that join at the same
+  /// instant with the same interval share one grid, which keeps exactly
+  /// one queued event per tick however many subscribers it has, and calls
+  /// them in subscription order. The next tick is queued after the last
+  /// subscriber returns — the position each subscriber's own re-armed
+  /// timer would take if nothing it runs schedules an event exactly one
+  /// interval ahead. A grid whose subscribers are all gone stops at its
+  /// next tick.
+  [[nodiscard]] GridSubscription JoinGrid(TimeMs interval, Callback cb);
 
   /// Runs until the event queue is empty.
   void Run();
@@ -59,11 +100,36 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
+  /// A shared periodic timer. Subscribers are kept in join order (ids
+  /// increase). One that leaves is only marked dead and dropped at the
+  /// next tick, so a callback that unsubscribes is never destroyed while
+  /// it runs, and a fleet's teardown costs no vector shifting.
+  struct Grid {
+    struct Subscriber {
+      uint64_t id;
+      bool live;
+      Callback cb;
+    };
+    TimeMs start;
+    TimeMs interval;
+    std::vector<Subscriber> subscribers;
+    uint64_t next_id = 1;
+
+    void Remove(uint64_t id);
+  };
+
+  void PopAndRun();
+  void ArmGrid(Grid* grid, TimeMs t);
+  void TickGrid(Grid* grid);
 
   TimeMs now_;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  // Live grids by (start instant, interval). A grid stays here while its
+  // tick is queued, so subscribers joining later at its start instant
+  // share it.
+  std::map<std::pair<TimeMs, TimeMs>, std::shared_ptr<Grid>> grids_;
 };
 
 }  // namespace unilog

@@ -52,9 +52,10 @@ struct SoakOptions {
   ChaosScheduleOptions chaos;
   SloThresholds slo;
   /// Delivery-path tuning. The only soak-specific default is a 2s daemon
-  /// flush (vs. the stock 1s): at 1200 daemons over two simulated days the
-  /// flush timers dominate the event count, and 2s halves it without
-  /// changing any delivery semantics.
+  /// flush (vs. the stock 1s). The fleet's daemons share one flush grid
+  /// (one simulator event per instant however many daemons), so the
+  /// interval no longer sets the event count. It sets the flush instants,
+  /// and so how many entries each flush batches and when they land.
   scribe::ScribeOptions scribe = [] {
     scribe::ScribeOptions s;
     s.daemon_flush_interval_ms = 2 * kMillisPerSecond;

@@ -1,5 +1,6 @@
 #include "thrift/compact_protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace unilog::thrift {
@@ -576,7 +577,10 @@ Status ReadBareValue(CompactReader* r, TType type, bool header_bool,
       ListData l;
       l.elem_type = elem;
       l.is_set = (type == TType::kSet);
-      l.elems.reserve(count);
+      // Every element takes at least one byte, so a count beyond the bytes
+      // left fails while reading; capping the reservation there keeps a
+      // claimed count from driving the allocation.
+      l.elems.reserve(std::min<size_t>(count, r->decoder()->remaining()));
       for (uint32_t i = 0; i < count; ++i) {
         ThriftValue e;
         UNILOG_RETURN_NOT_OK(
@@ -593,7 +597,7 @@ Status ReadBareValue(CompactReader* r, TType type, bool header_bool,
       MapData m;
       m.key_type = key;
       m.value_type = value;
-      m.entries.reserve(count);
+      m.entries.reserve(std::min<size_t>(count, r->decoder()->remaining()));
       for (uint32_t i = 0; i < count; ++i) {
         ThriftValue k, v;
         UNILOG_RETURN_NOT_OK(

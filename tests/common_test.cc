@@ -510,6 +510,60 @@ TEST(LzTest, CorruptedBlockDetected) {
   EXPECT_FALSE(Lz::Decompress(bad).ok());
 }
 
+// A block whose varint length header claims 2^62 bytes, followed by an
+// empty literal run: eleven bytes in all.
+std::string HugeHeaderBlock() {
+  std::string block;
+  PutVarint64(&block, uint64_t{1} << 62);
+  block += std::string("\x00\x00", 2);
+  return block;
+}
+
+// A block declaring 8 bytes: a 4-byte literal, then a match whose length
+// varint claims 2^40 bytes.
+std::string HugeMatchBlock() {
+  std::string block;
+  PutVarint64(&block, 8);
+  block += std::string("\x00\x04" "abcd" "\x01\x01", 8);
+  PutVarint64(&block, uint64_t{1} << 40);
+  return block;
+}
+
+TEST(LzTest, HugeLengthHeaderIsCorruptionNotAbort) {
+  const std::string block = HugeHeaderBlock();
+  ASSERT_EQ(block.size(), 11u);
+  auto d = Lz::Decompress(block);
+  ASSERT_FALSE(d.ok());
+  EXPECT_TRUE(d.status().IsCorruption()) << d.status().ToString();
+
+  Lz::IncrementalDecompressor inc(block);
+  Status st = inc.DecodeUntil(SIZE_MAX);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+TEST(LzTest, TokenPastLengthHeaderRejectedBeforeCopy) {
+  const std::string block = HugeMatchBlock();
+  auto d = Lz::Decompress(block);
+  ASSERT_FALSE(d.ok());
+  EXPECT_TRUE(d.status().IsCorruption()) << d.status().ToString();
+
+  Lz::IncrementalDecompressor inc(block);
+  Status st = inc.DecodeUntil(SIZE_MAX);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(inc.output(), "abcd");  // nothing of the match was copied
+
+  // A literal run longer than the header allows is rejected the same way.
+  std::string long_literal;
+  PutVarint64(&long_literal, 2);
+  long_literal += std::string("\x00\x04" "abcd", 6);
+  auto l = Lz::Decompress(long_literal);
+  ASSERT_FALSE(l.ok());
+  EXPECT_TRUE(l.status().IsCorruption());
+  Lz::IncrementalDecompressor inc_lit(long_literal);
+  EXPECT_TRUE(inc_lit.DecodeUntil(SIZE_MAX).IsCorruption());
+  EXPECT_TRUE(inc_lit.output().empty());
+}
+
 TEST(LzTest, PooledCompressorMatchesReference) {
   // The pooled (state-reusing) compressor must emit byte-identical blocks
   // to a fresh-state compressor on every input shape: repetitive, random,

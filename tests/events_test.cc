@@ -426,8 +426,11 @@ TEST(LegacyTest, DispatchByCategory) {
 
 // Property sweep: every format recovers user_id and action exactly for a
 // range of users/actions.
+// The action is a std::string rather than a const char* so the printed
+// parameter (and so the discovered test name) holds the text, not an
+// address that changes from run to run.
 class LegacyFormatSweep
-    : public ::testing::TestWithParam<std::tuple<int64_t, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int64_t, std::string>> {};
 
 TEST_P(LegacyFormatSweep, AllFormatsRecoverIdentity) {
   auto [uid, action] = GetParam();
@@ -456,7 +459,9 @@ INSTANTIATE_TEST_SUITE_P(
     UsersAndActions, LegacyFormatSweep,
     ::testing::Combine(::testing::Values(int64_t{0}, int64_t{1},
                                          int64_t{999999999999}),
-                       ::testing::Values("impression", "click", "follow")));
+                       ::testing::Values(std::string("impression"),
+                                         std::string("click"),
+                                         std::string("follow"))));
 
 }  // namespace
 }  // namespace unilog::events

@@ -12,6 +12,7 @@
 #include "common/compress.h"
 #include "dataflow/pig.h"
 #include "events/client_event.h"
+#include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
 #include "obs/metrics.h"
 #include "sessions/dictionary.h"
@@ -430,6 +431,64 @@ TEST_F(PigFusionTest, DescribeShowsDeferredScan) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_NE(out[0].find("(columnar scan)"), std::string::npos) << out[0];
   EXPECT_NE(out[0].find("event_name"), std::string::npos) << out[0];
+}
+
+TEST(PigStdlibParallelTest, UdfsFirstEvaluatedOnFourThreadExecutor) {
+  // FOREACH evaluates a DEFINEd UDF from every executor thread at once, so
+  // the first evaluations race to bind the partition's dictionary. Every
+  // run must equal the serial interpreter's output (and TSan must stay
+  // quiet: this test runs in the TSan CI job).
+  auto dict = sessions::EventDictionary::FromNamesInGivenOrder(
+      {"web:home:::tweet:impression", "web:home:::tweet:click",
+       "web:signup:flow:form:page:stage_00",
+       "web:signup:flow:form:page:stage_01"});
+  ASSERT_TRUE(dict.ok());
+  const std::vector<std::string> names = {
+      "web:home:::tweet:impression", "web:home:::tweet:click",
+      "web:signup:flow:form:page:stage_00",
+      "web:signup:flow:form:page:stage_01"};
+  std::vector<sessions::SessionSequence> seqs;
+  for (int64_t uid = 0; uid < 512; ++uid) {
+    std::vector<std::string> events;
+    for (int64_t k = 0; k <= uid % 7; ++k) {
+      events.push_back(names[(uid + k * k) % names.size()]);
+    }
+    sessions::SessionSequence s;
+    s.user_id = uid;
+    s.session_id = "s" + std::to_string(uid);
+    s.ip = "10.0.0.1";
+    s.sequence = dict->EncodeNames(events).value();
+    s.duration_seconds = 30;
+    seqs.push_back(s);
+  }
+  hdfs::MiniHdfs warehouse;
+  ASSERT_TRUE(
+      sessions::SequenceStore::WriteDaily(&warehouse, kDay, seqs, *dict).ok());
+
+  const std::string script = R"(
+    define CountClicks CountClientEvents('*:click');
+    define HasClick ContainsClientEvents('*:click');
+    define Funnel ClientEventsFunnel('web:signup:flow:form:page:stage_00',
+                                     'web:signup:flow:form:page:stage_01');
+    raw = load '/session_sequences/2012-08-21' using SessionSequencesLoader();
+    scored = foreach raw generate user_id, CountClicks(sequence),
+                                  HasClick(sequence), Funnel(sequence);
+    dump scored;
+  )";
+  auto run = [&](exec::Executor* exec) {
+    PigInterpreter pig;
+    analytics::InstallPigStdlib(&pig, &warehouse);
+    pig.set_executor(exec);
+    Status st = pig.Run(script);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return pig.output();
+  };
+  const std::vector<std::string> serial = run(nullptr);
+  ASSERT_EQ(serial.size(), seqs.size());
+  for (int round = 0; round < 8; ++round) {
+    exec::Executor exec(exec::ExecOptions{4, 1});
+    EXPECT_EQ(run(&exec), serial) << "round " << round;
+  }
 }
 
 TEST_F(PigStdlibTest, UdfBeforeLoadFailsGracefully) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,6 +78,106 @@ TEST(SimulatorTest, CallbacksCanScheduleMore) {
   sim.Run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(sim.Now(), 50);
+}
+
+TEST(SimulatorTest, GridTicksOnceForAllSubscribersInJoinOrder) {
+  Simulator sim(100);
+  std::vector<int> calls;
+  std::vector<Simulator::GridSubscription> subs;
+  for (int i = 0; i < 3; ++i) {
+    subs.push_back(sim.JoinGrid(10, [&calls, i] { calls.push_back(i); }));
+  }
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  sim.RunUntil(150);
+  EXPECT_EQ(sim.EventsProcessed(), 5u);  // one event per instant, not three
+  EXPECT_EQ(calls,
+            (std::vector<int>{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}));
+}
+
+TEST(SimulatorTest, GridInstantsAreStartPlusMultiplesOfInterval) {
+  Simulator sim(7);
+  std::vector<TimeMs> ticks;
+  auto sub = sim.JoinGrid(10, [&] { ticks.push_back(sim.Now()); });
+  sim.RunUntil(47);
+  EXPECT_EQ(ticks, (std::vector<TimeMs>{17, 27, 37, 47}));
+}
+
+TEST(SimulatorTest, GridArmsNextTickAfterLastSubscriber) {
+  // Work a subscriber schedules for the current instant runs after every
+  // subscriber of that tick; an event queued earlier for a later instant
+  // runs before that instant's tick.
+  Simulator sim(0);
+  std::vector<std::string> order;
+  auto a = sim.JoinGrid(10, [&] {
+    order.push_back("a");
+    sim.After(0, [&] { order.push_back("a-followup"); });
+  });
+  auto b = sim.JoinGrid(10, [&] { order.push_back("b"); });
+  sim.At(20, [&] { order.push_back("queued-at-20"); });
+  sim.RunUntil(20);
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "a-followup",
+                                             "queued-at-20", "a", "b",
+                                             "a-followup"}));
+}
+
+TEST(SimulatorTest, GridsAreKeyedByStartInstant) {
+  Simulator sim(0);
+  std::vector<std::pair<char, TimeMs>> ticks;
+  auto a = sim.JoinGrid(10, [&] { ticks.emplace_back('a', sim.Now()); });
+  sim.RunUntil(4);
+  auto b = sim.JoinGrid(10, [&] { ticks.emplace_back('b', sim.Now()); });
+  sim.RunUntil(24);
+  EXPECT_EQ(ticks, (std::vector<std::pair<char, TimeMs>>{
+                       {'a', 10}, {'b', 14}, {'a', 20}, {'b', 24}}));
+  EXPECT_EQ(sim.PendingEvents(), 2u);  // one grid per start instant
+}
+
+TEST(SimulatorTest, GridStopsWhenEverySubscriberLeaves) {
+  Simulator sim(0);
+  int a_calls = 0;
+  int b_calls = 0;
+  auto a = sim.JoinGrid(10, [&] { ++a_calls; });
+  auto b = sim.JoinGrid(10, [&] { ++b_calls; });
+  sim.RunUntil(10);
+  a.Reset();
+  EXPECT_FALSE(a);
+  sim.RunUntil(20);
+  EXPECT_EQ(a_calls, 1);
+  EXPECT_EQ(b_calls, 2);
+  b = Simulator::GridSubscription();  // move-assign resets too
+  EXPECT_EQ(sim.PendingEvents(), 1u);  // the tick already queued for 30
+  sim.RunUntil(30);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  EXPECT_EQ(b_calls, 2);
+  sim.Run();  // terminates: nothing re-arms
+  EXPECT_EQ(sim.EventsProcessed(), 3u);
+}
+
+TEST(SimulatorTest, GridSubscriberLeavingMidTickIsSkipped) {
+  Simulator sim(0);
+  std::vector<int> calls;
+  Simulator::GridSubscription subs[3];
+  subs[0] = sim.JoinGrid(10, [&] {
+    calls.push_back(0);
+    subs[0].Reset();  // leaves from inside its own callback
+    subs[2].Reset();  // and removes a later subscriber of the same tick
+  });
+  subs[1] = sim.JoinGrid(10, [&] { calls.push_back(1); });
+  subs[2] = sim.JoinGrid(10, [&] { calls.push_back(2); });
+  sim.RunUntil(30);
+  EXPECT_EQ(calls, (std::vector<int>{0, 1, 1, 1}));
+}
+
+TEST(SimulatorTest, GridSubscriptionMayOutliveSimulator) {
+  Simulator::GridSubscription sub;
+  {
+    Simulator sim(0);
+    sub = sim.JoinGrid(10, [] {});
+    sim.RunUntil(20);
+  }
+  EXPECT_TRUE(sub);
+  sub.Reset();
+  EXPECT_FALSE(sub);
 }
 
 // ---------------------------------------------------------------------------
@@ -372,6 +473,150 @@ TEST_F(DaemonTest, RetryBackoffBoundsRediscoveryRate) {
   EXPECT_LE(rediscoveries, 30u);
   // Jitter is Rng-seeded, so the schedule is deterministic per seed.
   EXPECT_EQ(run_outage(), rediscoveries);
+}
+
+// ---------------------------------------------------------------------------
+// Flush grid: daemons share one simulator event per flush instant.
+
+TEST_F(DaemonTest, IdleFleetCostsOneEventPerInterval) {
+  std::vector<std::unique_ptr<ScribeDaemon>> fleet;
+  for (int i = 0; i < 50; ++i) {
+    fleet.push_back(std::make_unique<ScribeDaemon>(
+        &sim_, &zk_, "dc1", "host" + std::to_string(i),
+        [](const std::string&) -> Aggregator* { return nullptr; }, Rng(i),
+        options_));
+    fleet.back()->Start();
+  }
+  const uint64_t before = sim_.EventsProcessed();
+  sim_.RunUntil(kT0 + 10 * kMillisPerSecond);
+  EXPECT_EQ(sim_.EventsProcessed() - before, 10u);
+  EXPECT_EQ(sim_.PendingEvents(), 1u);
+}
+
+TEST_F(DaemonTest, LogFlushesAtFirstGridInstantAtOrAfterIt) {
+  Aggregator agg(&sim_, &zk_, &staging_, "dc1", "agg0", options_);
+  ASSERT_TRUE(agg.Start().ok());
+  aggs_ = {&agg};
+  ScribeDaemon daemon = MakeDaemon("host0");
+  daemon.Start();  // grid instants: kT0 + k * 1s
+
+  sim_.At(kT0 + 1500, [&] { daemon.Log("cat", "mid-interval"); });
+  // Queued before the 3s tick is armed, so it runs ahead of that tick.
+  sim_.At(kT0 + 3000, [&] { daemon.Log("cat", "on-instant"); });
+
+  sim_.RunUntil(kT0 + 1999);
+  EXPECT_EQ(daemon.QueuedEntries(), 1u);
+  sim_.RunUntil(kT0 + 2000);
+  EXPECT_EQ(daemon.QueuedEntries(), 0u);
+  EXPECT_EQ(agg.stats().entries_received, 1u);
+
+  sim_.RunUntil(kT0 + 3000);
+  EXPECT_EQ(daemon.QueuedEntries(), 0u);  // flushed in the 3s tick itself
+  EXPECT_EQ(agg.stats().entries_received, 2u);
+}
+
+TEST_F(DaemonTest, EntriesLoggedBeforeStartFlushOneIntervalAfterStart) {
+  Aggregator agg(&sim_, &zk_, &staging_, "dc1", "agg0", options_);
+  ASSERT_TRUE(agg.Start().ok());
+  aggs_ = {&agg};
+  ScribeDaemon daemon = MakeDaemon("host0");
+  sim_.RunUntil(kT0 + 300);
+  daemon.Log("cat", "early-1");
+  daemon.Log("cat", "early-2");
+  sim_.RunUntil(kT0 + 700);
+  daemon.Start();
+  sim_.RunUntil(kT0 + 1699);
+  EXPECT_EQ(daemon.QueuedEntries(), 2u);
+  sim_.RunUntil(kT0 + 1700);
+  EXPECT_EQ(daemon.QueuedEntries(), 0u);
+  EXPECT_EQ(agg.stats().entries_received, 2u);
+}
+
+TEST_F(DaemonTest, SameInstantFlushesFollowStartOrder) {
+  options_.roll_interval_ms = kMillisPerHour;  // roll only when asked
+  Aggregator agg(&sim_, &zk_, &staging_, "dc1", "agg0", options_);
+  ASSERT_TRUE(agg.Start().ok());
+  aggs_ = {&agg};
+  ScribeDaemon d0 = MakeDaemon("host0");
+  ScribeDaemon d1 = MakeDaemon("host1");
+  ScribeDaemon d2 = MakeDaemon("host2");
+  // Start order differs from both construction and Log() order.
+  d2.Start();
+  d0.Start();
+  d1.Start();
+  d0.Log("cat", "from-0");
+  d1.Log("cat", "from-1");
+  d2.Log("cat", "from-2");
+  sim_.RunUntil(kT0 + kMillisPerSecond);
+  EXPECT_EQ(agg.stats().entries_received, 3u);
+
+  agg.RollAll();
+  auto files = staging_.ListRecursive("/staging/cat");
+  ASSERT_TRUE(files.ok());
+  ASSERT_EQ(files->size(), 1u);
+  auto body = staging_.ReadFile((*files)[0].path);
+  ASSERT_TRUE(body.ok());
+  auto raw = Lz::Decompress(*body);
+  ASSERT_TRUE(raw.ok());
+  auto msgs = UnframeMessages(*raw);
+  ASSERT_TRUE(msgs.ok());
+  EXPECT_EQ(*msgs, (std::vector<std::string>{"from-2", "from-0", "from-1"}));
+}
+
+TEST_F(DaemonTest, BackedOffDaemonRetriesEveryInstantWhileQueued) {
+  // A backoff shorter than the flush interval: every grid instant with a
+  // non-empty queue is a retry (each one a rediscovery), and the retries
+  // stop as soon as the queue drains.
+  options_.daemon_retry_backoff_ms = 1;
+  options_.daemon_retry_backoff_max_ms = 1;
+  Aggregator agg(&sim_, &zk_, &staging_, "dc1", "agg0", options_);
+  ASSERT_TRUE(agg.Start().ok());
+  bool reachable = false;
+  ScribeDaemon daemon(
+      &sim_, &zk_, "dc1", "host0",
+      [&](const std::string&) { return reachable ? &agg : nullptr; }, Rng(42),
+      options_);
+  daemon.Start();
+  daemon.Log("cat", "stuck");
+  sim_.RunUntil(kT0 + 5 * kMillisPerSecond);
+  EXPECT_EQ(daemon.stats().rediscoveries, 5u);
+  EXPECT_EQ(daemon.QueuedEntries(), 1u);
+
+  reachable = true;
+  sim_.RunUntil(kT0 + 6 * kMillisPerSecond);
+  EXPECT_EQ(daemon.stats().rediscoveries, 6u);
+  EXPECT_EQ(daemon.QueuedEntries(), 0u);
+  sim_.RunUntil(kT0 + 20 * kMillisPerSecond);
+  EXPECT_EQ(daemon.stats().rediscoveries, 6u);  // idle: no more attempts
+}
+
+TEST_F(DaemonTest, DestroyingDaemonUnsubscribesIt) {
+  Aggregator agg(&sim_, &zk_, &staging_, "dc1", "agg0", options_);
+  ASSERT_TRUE(agg.Start().ok());
+  aggs_ = {&agg};
+  auto doomed = std::make_unique<ScribeDaemon>(
+      &sim_, &zk_, "dc1", "host0",
+      [&agg](const std::string&) { return &agg; }, Rng(1), options_);
+  ScribeDaemon survivor = MakeDaemon("host1");
+  doomed->Start();
+  survivor.Start();
+  doomed->Log("cat", "never-sent");
+  survivor.Log("cat", "sent");
+  doomed.reset();  // its callback must never run again
+  sim_.RunUntil(kT0 + 3 * kMillisPerSecond);
+  EXPECT_EQ(agg.stats().entries_received, 1u);
+  EXPECT_EQ(survivor.QueuedEntries(), 0u);
+}
+
+TEST_F(DaemonTest, FlushGridStopsOnceEveryDaemonIsGone) {
+  {
+    ScribeDaemon daemon = MakeDaemon("host0");
+    daemon.Start();
+    sim_.RunUntil(kT0 + 2 * kMillisPerSecond);
+    EXPECT_EQ(sim_.PendingEvents(), 1u);
+  }
+  sim_.RunUntil(kT0 + 3 * kMillisPerSecond);
+  EXPECT_EQ(sim_.PendingEvents(), 0u);
 }
 
 // ---------------------------------------------------------------------------

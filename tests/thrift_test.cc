@@ -216,6 +216,23 @@ TEST(CompactProtocolTest, TruncatedStructDetected) {
   }
 }
 
+TEST(CompactProtocolTest, HugeClaimedListCountIsCorruptionNotAbort) {
+  // Field 1 (list<i32>), a long-form list header claiming 2^32-1
+  // elements, then a single element: eight bytes in all.
+  const std::string buf("\x19\xF5\xFF\xFF\xFF\xFF\x0F\x00", 8);
+  auto parsed = ParseStruct(buf);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+}
+
+TEST(CompactProtocolTest, HugeClaimedMapCountIsCorruptionNotAbort) {
+  // Field 1 (map<i32,i32>) claiming 2^32-1 entries, then one entry.
+  const std::string buf("\x1B\xFF\xFF\xFF\xFF\x0F\x55\x00\x00", 9);
+  auto parsed = ParseStruct(buf);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+}
+
 TEST(SerializerTest, AppendStructMatchesSerializeStruct) {
   ThriftValue ev = MakeSampleEvent();
   std::string fresh;

@@ -1,28 +1,38 @@
-// E21/E25: broker tier throughput. Three tiers under the same per-node
+// E21/E25: broker tier throughput. Two tiers under the same per-node
 // service rate R (token bucket, 1 s burst) and the same saturating
 // producer load:
 //
 //   single-aggregator  the one-chain baseline, pinned at R
-//   broker-unbatched   4 partitions, record-at-a-time produce: the token
-//                      bucket charges uncompressed record bytes, so the
-//                      tier saturates at ~4R
-//   broker-batched     4 partitions, frame-and-compress-once produce: the
-//                      bucket charges compressed bytes on the wire, so the
-//                      same 4 nodes accept ~compression-ratio more payload
+//   broker             4 partitions on 4 nodes, frame-and-compress-once
+//                      produce: the bucket charges compressed bytes on the
+//                      wire, so the nodes accept ~compression-ratio more
+//                      payload than their uncompressed capacity
 //
 // The bench measures intake MB/s (uncompressed payload accepted) over the
 // load window, allocations per produced entry (alloc_hooks), wire-bytes
-// ratio and batch fan-in, drains every tier through the log mover, and
-// checks the delivery-audit identity at quiescence. A separate light-load
-// phase runs the batched and unbatched paths on the same seed below
-// saturation and requires the landed warehouse hour to be byte-identical.
-// Exits nonzero when an audit breaks, the broker fails to drain, the
-// batched tier misses its 3x floor over record-at-a-time, or the
-// warehouse bytes diverge.
+// ratio and batch fan-in, drains both tiers through the log mover, and
+// checks the delivery-audit identity at quiescence.
+//
+// The floors. A tier whose bucket charged uncompressed record bytes (the
+// record-at-a-time produce path this repository once had, measured at
+// 0.261 MB/s on seed 77) can accept at most the uncompressed capacity
+//   C = nodes x R x (window + 1 s burst) / window
+// over the window. The broker tier must exceed 3 x C, and 6 x the measured
+// single-aggregator intake.
+//
+// A separate light-load phase runs the broker tier below saturation and
+// digests the landed warehouse hour: FNV-1a over the sorted (path, bytes)
+// of every part. At the default seed the digest must equal a golden value
+// recorded when the record-at-a-time path still existed and landed the
+// same bytes; other seeds print the digest and skip the comparison.
+//
+// Exits nonzero when an audit breaks, the broker fails to drain, an intake
+// floor is missed, or the landed bytes differ from the golden digest.
 
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "alloc_hooks.h"
 #include "bench_common.h"
@@ -41,8 +51,15 @@ constexpr uint64_t kServiceBytesPerSec = 64 * 1024;  // R for every tier
 constexpr TimeMs kWindow = 120 * kMillisPerSecond;
 constexpr int kPayloadBytes = 500;
 constexpr int kEntriesPerTick = 220;  // every 100 ms -> ~1.1 MB/s offered
+constexpr int kBrokerNodes = 4;
 
-enum class Tier { kAggregator, kBrokerUnbatched, kBrokerBatched };
+constexpr uint64_t kGoldenSeed = 77;
+// Landed-hour digest of the light-load phase at kGoldenSeed, recorded while
+// the batched and record-at-a-time produce paths both existed and landed
+// byte-identical parts.
+constexpr uint64_t kGoldenLandedDigest = 0x24865a8ef3deee76ull;
+
+enum class Tier { kAggregator, kBroker };
 
 struct TierResult {
   uint64_t intake_bytes = 0;  // uncompressed payload accepted in-window
@@ -65,13 +82,13 @@ scribe::ScribeOptions TierScribeOptions(Tier tier) {
   // the measurement capacity-bound instead of backoff-bound.
   sopts.daemon_retry_backoff_ms = 100;
   sopts.daemon_retry_backoff_max_ms = 500;
-  // The batched tier ships compressed blobs, so its per-flush payload cap
-  // can far exceed the 1 s token burst of uncompressed admission.
-  sopts.daemon_max_batch_bytes =
-      tier == Tier::kBrokerBatched ? 256 * 1024 : 32 * 1024;
-  sopts.broker_batched_produce = tier == Tier::kBrokerBatched;
   if (tier == Tier::kAggregator) {
+    sopts.daemon_max_batch_bytes = 32 * 1024;
     sopts.aggregator_service_bytes_per_sec = kServiceBytesPerSec;
+  } else {
+    // The broker ships compressed blobs, so its per-flush payload cap can
+    // far exceed the 1 s token burst of uncompressed admission.
+    sopts.daemon_max_batch_bytes = 256 * 1024;
   }
   return sopts;
 }
@@ -83,7 +100,7 @@ scribe::ClusterTopology TierTopology(Tier tier) {
   if (tier == Tier::kAggregator) {
     topo.aggregators_per_dc = 1;
   } else {
-    topo.brokers_per_dc = 4;
+    topo.brokers_per_dc = kBrokerNodes;
     topo.broker_options.num_partitions = 4;
     topo.broker_options.replication_factor = 1;
     topo.broker_options.acks = broker::kAcksLeader;
@@ -168,21 +185,24 @@ TierResult RunTier(const char* name, Tier tier, uint64_t seed) {
   return result;
 }
 
-// Light-load identity run: well under every tier's capacity, so the
-// batched and unbatched paths accept the same records and the landed
-// warehouse hour must be byte-identical.
-std::map<std::string, std::string> RunIdentityTier(bool batched,
-                                                   uint64_t seed,
-                                                   bool* audit_ok) {
+uint64_t Fnv1a(uint64_t h, std::string_view bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;  // FNV prime
+  }
+  return h;
+}
+
+// Light-load run, well under the broker tier's capacity: every record is
+// accepted, and the landed warehouse hour is digested as FNV-1a over each
+// part's path, size and bytes in sorted path order.
+uint64_t RunLightLoadDigest(uint64_t seed, size_t* parts, bool* audit_ok) {
   Simulator sim(kBenchDay);
-  scribe::ScribeOptions sopts =
-      TierScribeOptions(batched ? Tier::kBrokerBatched
-                                : Tier::kBrokerUnbatched);
   scribe::LogMoverOptions mopts;
   mopts.run_interval_ms = kMillisPerMinute;
   mopts.grace_ms = kMillisPerMinute;
-  scribe::ScribeCluster cluster(
-      &sim, TierTopology(Tier::kBrokerUnbatched), sopts, mopts, seed);
+  scribe::ScribeCluster cluster(&sim, TierTopology(Tier::kBroker),
+                                TierScribeOptions(Tier::kBroker), mopts, seed);
   if (!cluster.Start().ok()) std::abort();
 
   static const char* kCategories[] = {"clicks", "search", "timeline", "ads"};
@@ -210,7 +230,16 @@ std::map<std::string, std::string> RunIdentityTier(bool batched,
     if (!body.ok()) std::abort();
     files[f.path] = std::move(*body);
   }
-  return files;
+  *parts = files.size();
+  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  for (const auto& [path, body] : files) {
+    h = Fnv1a(h, path);
+    h = Fnv1a(h, std::string_view("\0", 1));
+    h = Fnv1a(h, std::to_string(body.size()));
+    h = Fnv1a(h, std::string_view("\0", 1));
+    h = Fnv1a(h, body);
+  }
+  return h;
 }
 
 }  // namespace
@@ -218,7 +247,7 @@ std::map<std::string, std::string> RunIdentityTier(bool batched,
 
 int main(int argc, char** argv) {
   using namespace unilog;
-  uint64_t seed = bench::ParseSeedFlag(&argc, argv, 77);
+  uint64_t seed = bench::ParseSeedFlag(&argc, argv, kGoldenSeed);
   std::printf(
       "=== E25: compressed record batches through the broker tier ===\n"
       "per-node service rate R = %llu KB/s for every tier; offered load "
@@ -229,49 +258,58 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(seed));
 
   TierResult baseline = RunTier("single-aggregator", Tier::kAggregator, seed);
-  TierResult unbatched =
-      RunTier("broker-unbatched", Tier::kBrokerUnbatched, seed);
-  TierResult batched = RunTier("broker-batched", Tier::kBrokerBatched, seed);
+  TierResult broker = RunTier("broker", Tier::kBroker, seed);
 
-  double partition_speedup =
+  // Uncompressed capacity of the broker nodes over the window: what any
+  // tier charging uncompressed bytes could accept at most.
+  const double capacity_mb_per_sec =
+      kBrokerNodes * static_cast<double>(kServiceBytesPerSec) *
+      static_cast<double>(kWindow + kMillisPerSecond) /
+      static_cast<double>(kWindow) / 1e6;
+  const double capacity_multiple =
+      capacity_mb_per_sec > 0 ? broker.intake_mb_per_sec / capacity_mb_per_sec
+                              : 0;
+  const double baseline_multiple =
       baseline.intake_mb_per_sec > 0
-          ? unbatched.intake_mb_per_sec / baseline.intake_mb_per_sec
-          : 0;
-  double batch_speedup =
-      unbatched.intake_mb_per_sec > 0
-          ? batched.intake_mb_per_sec / unbatched.intake_mb_per_sec
+          ? broker.intake_mb_per_sec / baseline.intake_mb_per_sec
           : 0;
   std::printf(
-      "\nbroker-batched consume throughput (drain phase, normalized to the "
-      "load window): %.3f MB/s\n",
-      batched.consume_mb_per_sec);
-  std::printf("broker-batched produce->consume p99 latency: %.0f ms "
+      "\nbroker consume throughput (drain phase, normalized to the load "
+      "window): %.3f MB/s\n",
+      broker.consume_mb_per_sec);
+  std::printf("broker produce->consume p99 latency: %.0f ms "
               "(hourly move barrier dominates)\n",
-              batched.p99_e2e_ms);
-  std::printf("partition speedup (4 partitions vs single chain): %.2fx "
-              "(target >=2x)\n",
-              partition_speedup);
-  std::printf("batch speedup (compressed batches vs record-at-a-time, same "
-              "nodes): %.2fx (target >=3x)\n",
-              batch_speedup);
+              broker.p99_e2e_ms);
+  std::printf("uncompressed capacity C = %d nodes x R x (%lld s + 1 s) / "
+              "%lld s = %.3f MB/s\n",
+              kBrokerNodes, static_cast<long long>(kWindow / 1000),
+              static_cast<long long>(kWindow / 1000), capacity_mb_per_sec);
+  std::printf("broker intake vs C: %.2fx (target >=3x)\n", capacity_multiple);
+  std::printf("broker intake vs single chain: %.2fx (target >=6x)\n",
+              baseline_multiple);
 
-  // Below saturation the two broker paths must land the same warehouse
-  // bytes: batching changes how payloads travel, never what lands.
-  bool id_unbatched_ok = false, id_batched_ok = false;
-  auto id_unbatched = RunIdentityTier(false, seed, &id_unbatched_ok);
-  auto id_batched = RunIdentityTier(true, seed, &id_batched_ok);
-  bool identity_ok = id_unbatched_ok && id_batched_ok &&
-                     id_unbatched == id_batched && !id_unbatched.empty();
-  std::printf("warehouse byte-identity (light load, %zu parts): %s\n",
-              id_unbatched.size(), identity_ok ? "identical" : "DIVERGED");
+  // Below saturation the landed bytes are pinned by the golden digest:
+  // how payloads travel may change, what lands may not.
+  bool light_audit_ok = false;
+  size_t light_parts = 0;
+  const uint64_t digest = RunLightLoadDigest(seed, &light_parts,
+                                             &light_audit_ok);
+  const bool golden_checked = seed == kGoldenSeed;
+  const bool digest_ok = light_parts > 0 &&
+                         (!golden_checked || digest == kGoldenLandedDigest);
+  std::printf("landed digest (light load, %zu parts): %016llx %s\n",
+              light_parts, static_cast<unsigned long long>(digest),
+              !golden_checked ? "(golden covers --seed=77 only)"
+              : digest_ok     ? "matches golden"
+                              : "DIFFERS FROM GOLDEN");
 
-  bool ok = baseline.audit_ok && unbatched.audit_ok && batched.audit_ok &&
-            partition_speedup >= 2.0 && batch_speedup >= 3.0 &&
-            batched.stats.messages_in_warehouse > 0 &&
-            batched.audit.in_flight_broker == 0 && identity_ok;
+  bool ok = baseline.audit_ok && broker.audit_ok && light_audit_ok &&
+            capacity_multiple >= 3.0 && baseline_multiple >= 6.0 &&
+            broker.stats.messages_in_warehouse > 0 &&
+            broker.audit.in_flight_broker == 0 && digest_ok;
   std::printf(
-      "contract (audits balanced, broker drained, >=2x partitions, >=3x "
-      "batching, warehouse bytes identical): %s\n",
+      "contract (audits balanced, broker drained, >=3x uncompressed "
+      "capacity, >=6x single chain, landed digest): %s\n",
       ok ? "MET" : "MISSED");
   if (!ok) {
     std::fprintf(stderr, "CONTRACT VIOLATED — reproduce with --seed=%llu\n",
@@ -285,29 +323,29 @@ int main(int argc, char** argv) {
               Json::Number(static_cast<double>(kWindow) / 1e3));
   section.Set("baseline_intake_mb_per_sec",
               Json::Number(baseline.intake_mb_per_sec));
-  section.Set("broker_unbatched_intake_mb_per_sec",
-              Json::Number(unbatched.intake_mb_per_sec));
   section.Set("broker_batched_intake_mb_per_sec",
-              Json::Number(batched.intake_mb_per_sec));
+              Json::Number(broker.intake_mb_per_sec));
+  section.Set("uncompressed_capacity_mb_per_sec",
+              Json::Number(capacity_mb_per_sec));
   section.Set("broker_consume_mb_per_sec",
-              Json::Number(batched.consume_mb_per_sec));
-  section.Set("broker_p99_e2e_ms", Json::Number(batched.p99_e2e_ms));
-  section.Set("partition_speedup", Json::Number(partition_speedup));
-  section.Set("batch_speedup", Json::Number(batch_speedup));
-  section.Set("wire_bytes_ratio_unbatched",
-              Json::Number(unbatched.wire_bytes_ratio));
+              Json::Number(broker.consume_mb_per_sec));
+  section.Set("broker_p99_e2e_ms", Json::Number(broker.p99_e2e_ms));
+  section.Set("capacity_multiple", Json::Number(capacity_multiple));
+  section.Set("baseline_multiple", Json::Number(baseline_multiple));
   section.Set("wire_bytes_ratio_batched",
-              Json::Number(batched.wire_bytes_ratio));
+              Json::Number(broker.wire_bytes_ratio));
   section.Set("batch_entries_per_produce",
-              Json::Number(batched.batch_entries_per_produce));
-  section.Set("allocs_per_entry_unbatched",
-              Json::Number(unbatched.allocs_per_entry));
+              Json::Number(broker.batch_entries_per_produce));
   section.Set("allocs_per_entry_batched",
-              Json::Number(batched.allocs_per_entry));
+              Json::Number(broker.allocs_per_entry));
   section.Set("baseline_audit_balanced", Json::Bool(baseline.audit_ok));
   section.Set("broker_audit_balanced",
-              Json::Bool(unbatched.audit_ok && batched.audit_ok));
-  section.Set("warehouse_identity_ok", Json::Bool(identity_ok));
+              Json::Bool(broker.audit_ok && light_audit_ok));
+  char digest_hex[17];
+  std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
+                static_cast<unsigned long long>(digest));
+  section.Set("landed_digest", Json::Str(digest_hex));
+  section.Set("landed_digest_ok", Json::Bool(digest_ok));
   section.Set("contract_met", Json::Bool(ok));
   Status js = bench::MergeBenchJsonSection("BENCH_broker.json",
                                            "broker_throughput", section);

@@ -47,55 +47,53 @@ void AppendBatchFrame(std::string* body, TimeMs logged_at,
 
 Result<size_t> DecodeBatch(const Batch& batch, std::vector<Record>* out) {
   out->clear();
-  out->reserve(batch.count);
+  if (batch.record_sizes.size() != batch.count) {
+    return Status::Corruption("batch size index does not cover its records");
+  }
   if (batch.body == nullptr) {
     if (batch.count == 0) return static_cast<size_t>(0);
     return Status::Corruption("batch has records but no body");
   }
-  std::unique_ptr<Lz::IncrementalDecompressor> inc;
-  const std::string* buf = batch.body.get();
-  if (batch.compressed) {
-    inc = std::make_unique<Lz::IncrementalDecompressor>(*batch.body);
-    buf = &inc->output();
-  }
+  out->reserve(batch.count);
+  Lz::IncrementalDecompressor inc(*batch.body);
+  const std::string& buf = inc.output();
   size_t pos = 0;
   // Two varints never exceed 20 bytes; ask the decompressor for that much
   // headroom before parsing a frame header, then for the payload itself.
-  auto ensure = [&](size_t n) -> Status {
-    if (inc == nullptr) return Status::OK();
-    return inc->DecodeUntil(pos + n);
-  };
+  // A claimed length that wraps the target only decodes less, and the
+  // bounds check below rejects it.
+  auto ensure = [&](uint64_t n) { return inc.DecodeUntil(pos + n); };
   const uint32_t total_frames = batch.skip_frames + batch.count;
   for (uint32_t f = 0; f < total_frames; ++f) {
     UNILOG_RETURN_NOT_OK(ensure(20));
     uint64_t logged_at = 0;
     uint64_t len = 0;
-    UNILOG_RETURN_NOT_OK(GetVarintFrom(*buf, &pos, &logged_at));
-    UNILOG_RETURN_NOT_OK(GetVarintFrom(*buf, &pos, &len));
+    UNILOG_RETURN_NOT_OK(GetVarintFrom(buf, &pos, &logged_at));
+    UNILOG_RETURN_NOT_OK(GetVarintFrom(buf, &pos, &len));
     UNILOG_RETURN_NOT_OK(ensure(len));
-    if (buf->size() < pos + len) {
+    if (len > buf.size() - pos) {
       return Status::Corruption("batch frame: truncated payload");
     }
     if (f >= batch.skip_frames) {
       const uint32_t i = f - batch.skip_frames;
-      if (i < batch.record_sizes.size() && batch.record_sizes[i] != len) {
+      if (batch.record_sizes[i] != len) {
         return Status::Corruption("batch frame: size index mismatch");
       }
       Record r;
       r.offset = batch.base_offset + i;
       r.producer = batch.producer;
       r.seq = batch.first_seq + i;
-      r.appended_at = batch.appended_at(i);
+      r.appended_at = batch.appended_at;
       r.logged_at = static_cast<TimeMs>(logged_at);
-      r.payload.assign(buf->data() + pos, len);
+      r.payload.assign(buf.data() + pos, len);
       out->push_back(std::move(r));
     }
     pos += len;
   }
-  // Bytes actually materialized: for compressed bodies the decompressor
-  // may have run a few token-granular bytes past `pos`, but never into
-  // tail frames beyond what a token straddles.
-  return inc != nullptr ? inc->output().size() : pos;
+  // Bytes actually materialized: the decompressor may have run a few
+  // token-granular bytes past `pos`, but never into tail frames beyond
+  // what a token straddles.
+  return inc.output().size();
 }
 
 const Batch& PartitionLog::AppendBatch(Batch b) {
@@ -106,24 +104,6 @@ const Batch& PartitionLog::AppendBatch(Batch b) {
   record_count_ += b.count;
   batches_.push_back(std::move(b));
   return batches_.back();
-}
-
-const Batch& PartitionLog::Append(std::string producer, uint64_t seq,
-                                  TimeMs appended_at, TimeMs logged_at,
-                                  std::string payload) {
-  Batch b;
-  b.count = 1;
-  b.producer = std::move(producer);
-  b.first_seq = seq;
-  b.min_appended_at = appended_at;
-  b.max_appended_at = appended_at;
-  b.record_sizes = {static_cast<uint32_t>(payload.size())};
-  b.payload_bytes = payload.size();
-  std::string body;
-  AppendBatchFrame(&body, logged_at, payload);
-  b.body = std::make_shared<const std::string>(std::move(body));
-  b.compressed = false;
-  return AppendBatch(std::move(b));
 }
 
 bool PartitionLog::AppendMirror(Batch b) {
@@ -176,14 +156,6 @@ Batch PartitionLog::Slice(const Batch& b, uint64_t from, uint32_t take) {
   s.record_sizes.assign(b.record_sizes.begin() + drop,
                         b.record_sizes.begin() + drop + take);
   s.payload_bytes = SumSizes(b.record_sizes, drop, take);
-  if (!b.record_times.empty()) {
-    s.record_times.assign(b.record_times.begin() + drop,
-                          b.record_times.begin() + drop + take);
-    s.min_appended_at = *std::min_element(s.record_times.begin(),
-                                          s.record_times.end());
-    s.max_appended_at = *std::max_element(s.record_times.begin(),
-                                          s.record_times.end());
-  }
   return s;
 }
 
@@ -196,23 +168,10 @@ PartitionLog::ReadResult PartitionLog::ReadFrom(uint64_t from,
       batches_.begin(), batches_.end(), from,
       [](const Batch& b, uint64_t off) { return b.end_offset() <= off; });
   for (; it != batches_.end() && it->base_offset < limit_offset; ++it) {
+    if (it->appended_at >= ts_limit) return out;  // hour boundary: stop
     const uint64_t start = std::max(from, it->base_offset);
-    const uint32_t idx0 = static_cast<uint32_t>(start - it->base_offset);
-    uint32_t take = static_cast<uint32_t>(
+    const uint32_t take = static_cast<uint32_t>(
         std::min<uint64_t>(it->end_offset(), limit_offset) - start);
-    bool ts_stopped = false;
-    if (it->min_appended_at >= ts_limit) {
-      // Zone map: the whole batch is at or past the boundary.
-      take = 0;
-      ts_stopped = true;
-    } else if (it->max_appended_at >= ts_limit) {
-      // Boundary lands inside this batch. Per-record times (non-decreasing)
-      // locate the first excluded record without touching the blob.
-      uint32_t n = 0;
-      while (n < take && it->appended_at(idx0 + n) < ts_limit) ++n;
-      take = n;
-      ts_stopped = true;
-    }
     if (take > 0) {
       Batch s = Slice(*it, start, take);
       out.record_count += take;
@@ -220,7 +179,6 @@ PartitionLog::ReadResult PartitionLog::ReadFrom(uint64_t from,
       out.next_offset = start + take;
       out.batches.push_back(std::move(s));
     }
-    if (ts_stopped) return out;  // hour boundary: stop here
   }
   // Drained every retained record below the limit; gaps between the last
   // batch and the limit hold nothing, so resume from the limit itself.

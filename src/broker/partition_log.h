@@ -32,24 +32,24 @@ struct Record {
 };
 
 /// The storage, replication, and fetch unit of the broker tier: one
-/// producer batch, framed and (normally) compressed once at the daemon and
-/// carried as an opaque blob from there to warehouse landing. A batch
-/// covers the dense offset range [base_offset, base_offset + count) and
-/// the dense seq range [first_seq, first_seq + count) of one producer.
+/// producer batch, framed and compressed once at the daemon and carried as
+/// an opaque blob from there to warehouse landing. A batch covers the
+/// dense offset range [base_offset, base_offset + count) and the dense seq
+/// range [first_seq, first_seq + count) of one producer, all appended at
+/// one leader instant.
 ///
-/// Body format (after decompression when `compressed`): one frame per
-/// record, each `varint logged_at, varint payload_len, payload bytes`.
-/// The body may carry `skip_frames` extra frames ahead of the first
-/// included record — a crash-retried produce that partially overlapped
-/// already-appended seqs is head-trimmed in metadata only, because the
-/// blob is opaque to the broker. Slices taken by ReadFrom() grow
-/// skip_frames the same way instead of rewriting the blob.
+/// Body format (after decompression): one frame per record, each
+/// `varint logged_at, varint payload_len, payload bytes`. The body may
+/// carry `skip_frames` extra frames ahead of the first included record — a
+/// crash-retried produce that partially overlapped already-appended seqs
+/// is head-trimmed in metadata only, because the blob is opaque to the
+/// broker. Slices taken by ReadFrom() grow skip_frames the same way
+/// instead of rewriting the blob.
 ///
-/// `record_sizes` (uncompressed payload bytes per included record) and the
-/// zone-map-style [min_appended_at, max_appended_at] let the broker do
-/// byte accounting, dedup trims, and hour-boundary reads without ever
-/// decompressing. The body is shared: replication and fetch copy batch
-/// metadata, never payload bytes.
+/// `record_sizes` (uncompressed payload bytes per included record) and
+/// `appended_at` let the broker do byte accounting, dedup trims, and
+/// hour-boundary reads without ever decompressing. The body is shared:
+/// replication and fetch copy batch metadata, never payload bytes.
 struct Batch {
   uint64_t base_offset = 0;
   /// Included records; offsets [base_offset, base_offset + count).
@@ -57,22 +57,15 @@ struct Batch {
   std::string producer;
   /// Seq of the record at base_offset.
   uint64_t first_seq = 0;
-  TimeMs min_appended_at = 0;
-  TimeMs max_appended_at = 0;
+  /// Leader-append sim time, shared by every record of the batch.
+  TimeMs appended_at = 0;
   /// Leading body frames to discard at decode (dedup head trim / slice).
   uint32_t skip_frames = 0;
-  /// Framed body (compressed as one Lz block iff `compressed`). Holds
-  /// skip_frames + count frames.
+  /// Framed body, compressed as one Lz block. Holds skip_frames + count
+  /// frames.
   std::shared_ptr<const std::string> body;
-  bool compressed = false;
   /// Uncompressed payload bytes of each included record, in offset order.
   std::vector<uint32_t> record_sizes;
-  /// Per-record appended_at when the batch is non-uniform (then size ==
-  /// count, non-decreasing); empty means every record carries
-  /// min_appended_at. Daemon-produced batches are always uniform (one
-  /// leader-append instant); non-uniform batches arise only from tests
-  /// that hand-build them.
-  std::vector<TimeMs> record_times;
   /// Sum of record_sizes, cached by builders and slicers.
   uint64_t payload_bytes = 0;
 
@@ -80,23 +73,20 @@ struct Batch {
   uint64_t last_seq() const { return first_seq + count - 1; }
   /// Bytes the blob occupies in the log / on the wire.
   uint64_t stored_bytes() const { return body ? body->size() : 0; }
-  /// appended_at of included record `i` (0-based).
-  TimeMs appended_at(uint32_t i) const {
-    return record_times.empty() ? min_appended_at : record_times[i];
-  }
 };
 
-/// Appends one record frame to an (uncompressed) batch body.
+/// Appends one record frame to a batch body (before compression).
 void AppendBatchFrame(std::string* body, TimeMs logged_at,
                       std::string_view payload);
 
 /// Decodes a batch's included records into `out`, assigning offsets, seqs,
 /// and appended times from the batch metadata. Skips the skip_frames head
-/// frames and stops after `count` frames: for compressed bodies the tail
-/// past the last included frame is never decompressed (token-granular).
-/// Returns the number of uncompressed body bytes actually materialized —
-/// the probe hour-boundary tests use to assert the excluded tail stayed
-/// compressed. Corruption on malformed bodies.
+/// frames and stops after `count` frames: the tail of the body past the
+/// last included frame is never decompressed (token-granular). Returns the
+/// number of uncompressed body bytes actually materialized — the probe
+/// offset-limit slice tests use to assert the excluded tail stayed
+/// compressed. Corruption on malformed bodies and on metadata that
+/// disagrees with them; never aborts on any body bytes.
 Result<size_t> DecodeBatch(const Batch& batch, std::vector<Record>* out);
 
 /// An offset-addressed in-memory commit log of batch entries for one
@@ -118,18 +108,13 @@ class PartitionLog {
   /// byte accounting, and in-flight backpressure all use, so batching and
   /// compression never change their meaning.
   uint64_t byte_size() const { return bytes_; }
-  /// Blob bytes retained (compressed where batches are compressed).
+  /// Compressed blob bytes retained.
   uint64_t stored_byte_size() const { return stored_bytes_; }
   bool empty() const { return batches_.empty(); }
 
   /// Leader path: assigns base_offset = end_offset() and stores the batch.
   /// Returns the stored entry.
   const Batch& AppendBatch(Batch b);
-
-  /// Convenience leader append of a single uncompressed record as a
-  /// count-1 batch — the record-at-a-time baseline path.
-  const Batch& Append(std::string producer, uint64_t seq, TimeMs appended_at,
-                      TimeMs logged_at, std::string payload);
 
   /// Replication path: stores `b` under its existing base offset. Accepts
   /// only batches starting at or past the local end (mirroring the leader,
@@ -155,7 +140,8 @@ class PartitionLog {
     /// original body; no payload bytes are copied or decompressed.
     std::vector<Batch> batches;
     /// Offset consumption should resume from: one past the last returned
-    /// record, or the offset of the first record excluded by `ts_limit`.
+    /// record, or the base offset of the first batch excluded by
+    /// `ts_limit`.
     uint64_t next_offset = 0;
     /// Records covered by `batches`.
     uint64_t record_count = 0;
@@ -164,11 +150,12 @@ class PartitionLog {
   };
 
   /// Records with offset in [from, limit_offset) and appended_at <
-  /// ts_limit, as batches. The scan stops at the first record at or past
-  /// ts_limit — consumption never skips over an hour boundary, so
-  /// next_offset always marks a clean resumption point, even mid-batch
-  /// (the batch zone map locates the boundary; non-uniform batches are
-  /// cut by their per-record times without touching the blob).
+  /// ts_limit, as batches. The scan stops at the first batch appended at or
+  /// past ts_limit — consumption never skips over an hour boundary, so
+  /// next_offset always marks a clean resumption point. A batch carries one
+  /// append instant, so an hour boundary never falls inside a batch; only
+  /// `from` and `limit_offset` cut batches, into slices that share the
+  /// blob.
   ReadResult ReadFrom(uint64_t from, uint64_t limit_offset,
                       TimeMs ts_limit) const;
 

@@ -561,92 +561,6 @@ Result<Relation> ColumnarEventScan::Materialize(exec::Executor* exec) {
   return rel;
 }
 
-Result<std::vector<Relation>> ColumnarEventScan::MaterializeShared(
-    const std::vector<std::shared_ptr<ColumnarEventScan>>& members,
-    exec::Executor* exec, columnar::ScanStats* stats_out) {
-  if (members.empty()) return std::vector<Relation>{};
-  for (const auto& member : members) {
-    if (member == nullptr || member->files_ != members[0]->files_) {
-      return Status::InvalidArgument(
-          "shared scan members must be clones of one opened scan");
-    }
-  }
-
-  std::vector<columnar::ScanSpec> specs;
-  specs.reserve(members.size());
-  for (const auto& member : members) specs.push_back(member->spec_);
-  const columnar::ScanSpec merged_spec = MergeScanSpecs(specs);
-
-  UNILOG_ASSIGN_OR_RETURN(std::vector<ScanUnit> units,
-                          PlanUnits(*members[0]->files_));
-
-  // Residual matchers re-tighten the union rows per member; compiled once,
-  // shared read-only across scan units.
-  std::vector<columnar::RowMatcher> residual;
-  residual.reserve(members.size());
-  for (const auto& member : members) residual.emplace_back(member->spec_);
-  columnar::RowMatcher merged_matcher(merged_spec);
-
-  // row_slots[m][u]: member m's rows from unit u, merged in unit order so
-  // each member's output is byte-identical to its independent scan.
-  std::vector<std::vector<std::vector<Row>>> row_slots(
-      members.size(), std::vector<std::vector<Row>>(units.size()));
-  std::vector<columnar::ScanStats> stat_slots(units.size());
-
-  auto run_unit = [&](size_t u) -> Status {
-    std::vector<events::ClientEvent> events;
-    UNILOG_RETURN_NOT_OK(ScanUnitEvents(units[u], merged_spec, merged_matcher,
-                                        &events, &stat_slots[u]));
-    for (size_t m = 0; m < members.size(); ++m) {
-      std::vector<Row>& rows = row_slots[m][u];
-      for (const auto& event : events) {
-        if (!residual[m].Matches(event)) continue;
-        rows.push_back(ProjectEvent(event, members[m]->visible_));
-      }
-    }
-    return Status::OK();
-  };
-
-  if (exec != nullptr) {
-    UNILOG_RETURN_NOT_OK(exec->ParallelForMorsels(
-        "shared_scan", UnitWeights(units), members[0]->morsel_options_,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t u = begin; u < end; ++u) {
-            UNILOG_RETURN_NOT_OK(run_unit(u));
-          }
-          return Status::OK();
-        }));
-  } else {
-    for (size_t u = 0; u < units.size(); ++u) {
-      UNILOG_RETURN_NOT_OK(run_unit(u));
-    }
-  }
-
-  columnar::ScanStats total;
-  for (const auto& stats : stat_slots) total.MergeFrom(stats);
-  columnar::ReportScanStats(total, members[0]->metrics_, members[0]->source_);
-  if (stats_out != nullptr) stats_out->MergeFrom(total);
-
-  std::vector<Relation> out;
-  out.reserve(members.size());
-  for (size_t m = 0; m < members.size(); ++m) {
-    std::vector<Row> merged;
-    size_t n = 0;
-    for (const auto& slot : row_slots[m]) n += slot.size();
-    merged.reserve(n);
-    for (auto& slot : row_slots[m]) {
-      for (auto& row : slot) merged.push_back(std::move(row));
-    }
-    UNILOG_ASSIGN_OR_RETURN(
-        Relation rel,
-        Relation::FromRows(members[m]->column_names_, std::move(merged)));
-    members[m]->last_stats_ = total;
-    members[m]->cache_ = rel;
-    out.push_back(std::move(rel));
-  }
-  return out;
-}
-
 Result<BatchRelation> ColumnarEventScan::MaterializeBatches(
     exec::Executor* exec) {
   if (batch_cache_.has_value()) return *batch_cache_;

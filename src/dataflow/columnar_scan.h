@@ -84,21 +84,6 @@ class ColumnarEventScan : public PushdownScan {
   /// Materialize yields an empty relation.
   static std::shared_ptr<ColumnarEventScan> PlanOnly();
 
-  /// One union scan fanned out to many per-workflow outputs — the Oink
-  /// shared-scan fast path. Every member must be a Clone() of the same
-  /// opened scan (they share one immutable file set); the files are
-  /// scanned once with the MergeScanSpecs union of the member specs, and
-  /// each row fans out through each member's residual RowMatcher and
-  /// projection. Output i is byte-identical to members[i]->Materialize on
-  /// the same files, at any thread count (scan units and residual filters
-  /// run on `exec`; slots merge in unit order). The union scan's
-  /// accounting lands in `stats_out` (may be null) and in each member's
-  /// last_stats(); members' caches are filled so later Materialize calls
-  /// are free.
-  static Result<std::vector<Relation>> MaterializeShared(
-      const std::vector<std::shared_ptr<ColumnarEventScan>>& members,
-      exec::Executor* exec, columnar::ScanStats* stats_out = nullptr);
-
   const std::vector<std::string>& columns() const override;
   std::shared_ptr<PushdownScan> Clone() const override;
   bool PushFilter(const std::string& column, const std::string& op,
@@ -115,13 +100,17 @@ class ColumnarEventScan : public PushdownScan {
   /// materialized once per distinct value per group, never per row.
   Result<BatchRelation> MaterializeBatches(exec::Executor* exec);
 
-  /// The shared-scan fast path in batch form: units are decoded once
-  /// under the union spec, each member re-tightens with its residual
-  /// predicates as a selection vector over *shared* column arrays (no
-  /// per-member copy), then projects its visible columns. Output i
-  /// converted ToRelation() is byte-identical to members[i]->Materialize
-  /// on the same files. Fills members' batch caches, not their row
-  /// caches.
+  /// One union scan fanned out to many per-workflow outputs — the Oink
+  /// shared-scan fast path. Every member must be a Clone() of the same
+  /// opened scan (they share one immutable file set); units are decoded
+  /// once under the MergeScanSpecs union of the member specs, each member
+  /// re-tightens with its residual predicates as a selection vector over
+  /// *shared* column arrays (no per-member copy), then projects its
+  /// visible columns. Output i converted ToRelation() is byte-identical to
+  /// members[i]->Materialize on the same files, at any thread count. The
+  /// union scan's accounting lands in `stats_out` (may be null) and in
+  /// each member's last_stats(); members' batch caches are filled, not
+  /// their row caches.
   static Result<std::vector<BatchRelation>> MaterializeSharedBatches(
       const std::vector<std::shared_ptr<ColumnarEventScan>>& members,
       exec::Executor* exec, columnar::ScanStats* stats_out = nullptr);

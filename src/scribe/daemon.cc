@@ -178,7 +178,6 @@ Status ScribeDaemon::ProduceCategoryBatch(broker::BrokerNode* leader,
     taken->push_back(i);
   }
   req.count = static_cast<uint32_t>(taken->size());
-  req.compressed = true;
   // The once-per-path compression: the blob stays opaque through append,
   // replication, and fetch, and is decoded only at warehouse landing.
   Lz::Pooled().CompressTo(*body, &req.body);
@@ -215,26 +214,8 @@ bool ScribeDaemon::FlushToBroker() {
 
     std::vector<size_t> taken;
     broker::ProduceAck ack;
-    Status st;
-    if (options_.broker_batched_produce) {
-      st = ProduceCategoryBatch(leader, category, partition, indices, &taken,
-                                &ack);
-    } else {
-      std::vector<broker::ProduceItem> items;
-      uint64_t bytes = 0;
-      for (size_t i : indices) {
-        const Queued& q = queue_[i];
-        bytes += q.entry.message.size();
-        if (options_.daemon_max_batch_bytes > 0 && !items.empty() &&
-            bytes > options_.daemon_max_batch_bytes) {
-          break;
-        }
-        items.push_back(
-            broker::ProduceItem{q.seq, q.logged_at, q.entry.message});
-        taken.push_back(i);
-      }
-      st = leader->Produce(category, partition, host_, items, &ack);
-    }
+    Status st = ProduceCategoryBatch(leader, category, partition, indices,
+                                     &taken, &ack);
     if (st.ok()) {
       for (size_t i : taken) acked[i] = true;
       sent += taken.size();

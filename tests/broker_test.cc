@@ -1,15 +1,16 @@
 // Tests for the partitioned replicated commit log under Scribe: the
-// batch-granular PartitionLog storage unit, BrokerNode produce/dedup/
-// backpressure (record-at-a-time and compressed-batch paths), zk leader
-// election, and the chaos suite — leader kill mid-produce, session expiry
-// during election, acks=all with a replica down — each asserting the
-// delivery audit stays balanced at quiescence and consumer-group offsets
-// never move backwards. The batched path's invariant — payload bytes are
-// compressed once at the daemon and decompressed once at warehouse
-// landing — is checked with the Lz call-count probes.
+// batch-granular PartitionLog storage unit, BrokerNode compressed-batch
+// produce/dedup/backpressure, zk leader election, and the chaos suite —
+// leader kill mid-produce, session expiry during election, acks=all with a
+// replica down — each asserting the delivery audit stays balanced at
+// quiescence and consumer-group offsets never move backwards. The produce
+// path's invariant — payload bytes are compressed once at the daemon and
+// decompressed once at warehouse landing — is checked with the Lz
+// call-count probes.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -20,6 +21,7 @@
 #include "broker/broker.h"
 #include "broker/fleet.h"
 #include "broker/partition_log.h"
+#include "common/coding.h"
 #include "common/compress.h"
 #include "common/rng.h"
 #include "obs/delivery_audit.h"
@@ -46,29 +48,23 @@ std::vector<Record> Flatten(const PartitionLog::ReadResult& read) {
   return records;
 }
 
-// Frames `payloads` the way a daemon does and hand-builds a batch around
-// the (optionally compressed) body. A non-empty `times` gives each record
-// its own appended_at (and logged_at), for batches that straddle an hour.
+// Frames `payloads` the way a daemon does and hand-builds a compressed
+// batch around the body, appended (and logged) at `appended_at`.
 Batch MakeBatch(std::string producer, uint64_t first_seq,
-                const std::vector<std::string>& payloads, TimeMs appended_at,
-                std::vector<TimeMs> times = {}, bool compressed = true) {
+                const std::vector<std::string>& payloads,
+                TimeMs appended_at) {
   Batch b;
   b.count = static_cast<uint32_t>(payloads.size());
   b.producer = std::move(producer);
   b.first_seq = first_seq;
   std::string body;
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    AppendBatchFrame(&body, times.empty() ? appended_at : times[i],
-                     payloads[i]);
-    b.record_sizes.push_back(static_cast<uint32_t>(payloads[i].size()));
-    b.payload_bytes += payloads[i].size();
+  for (const std::string& p : payloads) {
+    AppendBatchFrame(&body, appended_at, p);
+    b.record_sizes.push_back(static_cast<uint32_t>(p.size()));
+    b.payload_bytes += p.size();
   }
-  b.min_appended_at = times.empty() ? appended_at : times.front();
-  b.max_appended_at = times.empty() ? appended_at : times.back();
-  b.record_times = std::move(times);
-  b.compressed = compressed;
-  b.body = std::make_shared<const std::string>(
-      compressed ? Lz::Compress(body) : std::move(body));
+  b.appended_at = appended_at;
+  b.body = std::make_shared<const std::string>(Lz::Compress(body));
   return b;
 }
 
@@ -87,7 +83,6 @@ Status ProduceBatchOf(BrokerNode* leader, const std::string& category,
     req.record_sizes.push_back(static_cast<uint32_t>(p.size()));
   }
   req.body = Lz::Compress(body);
-  req.compressed = true;
   return leader->ProduceBatch(category, partition, producer, std::move(req),
                               ack);
 }
@@ -97,9 +92,10 @@ Status ProduceBatchOf(BrokerNode* leader, const std::string& category,
 
 TEST(PartitionLogTest, AppendAssignsDenseOffsets) {
   PartitionLog log;
-  EXPECT_EQ(log.Append("h1", 1, kT0, kT0, "a").base_offset, 0u);
-  EXPECT_EQ(log.Append("h1", 2, kT0, kT0, "bb").base_offset, 1u);
-  EXPECT_EQ(log.Append("h2", 1, kT0, kT0, "ccc").base_offset, 2u);
+  EXPECT_EQ(log.AppendBatch(MakeBatch("h1", 1, {"a"}, kT0)).base_offset, 0u);
+  EXPECT_EQ(log.AppendBatch(MakeBatch("h1", 2, {"bb"}, kT0)).base_offset, 1u);
+  EXPECT_EQ(log.AppendBatch(MakeBatch("h2", 1, {"ccc"}, kT0)).base_offset,
+            2u);
   EXPECT_EQ(log.end_offset(), 3u);
   EXPECT_EQ(log.begin_offset(), 0u);
   EXPECT_EQ(log.entry_count(), 3u);
@@ -129,7 +125,9 @@ TEST(PartitionLogTest, AppendBatchCoversDenseRange) {
 
 TEST(PartitionLogTest, TrimRaisesBeginAndNeverLowers) {
   PartitionLog log;
-  for (int i = 0; i < 5; ++i) log.Append("h", i + 1, kT0, kT0, "xy");
+  for (int i = 0; i < 5; ++i) {
+    log.AppendBatch(MakeBatch("h", i + 1, {"xy"}, kT0));
+  }
   log.TrimTo(3);
   EXPECT_EQ(log.begin_offset(), 3u);
   EXPECT_EQ(log.entry_count(), 2u);
@@ -175,9 +173,9 @@ TEST(PartitionLogTest, RetentionNeverSplitsABatch) {
 
 TEST(PartitionLogTest, ReadFromStopsAtTimestampLimit) {
   PartitionLog log;
-  log.Append("h", 1, kT0, kT0, "a");
-  log.Append("h", 2, kT0 + 10, kT0, "b");
-  log.Append("h", 3, kT0 + 20, kT0, "c");
+  log.AppendBatch(MakeBatch("h", 1, {"a"}, kT0));
+  log.AppendBatch(MakeBatch("h", 2, {"b"}, kT0 + 10));
+  log.AppendBatch(MakeBatch("h", 3, {"c"}, kT0 + 20));
   auto read = log.ReadFrom(0, log.end_offset(), kT0 + 20);
   EXPECT_EQ(read.record_count, 2u);
   // next_offset marks the first excluded record so consumption resumes
@@ -185,22 +183,20 @@ TEST(PartitionLogTest, ReadFromStopsAtTimestampLimit) {
   EXPECT_EQ(read.next_offset, 2u);
 }
 
-TEST(PartitionLogTest, HourBoundaryMidBatchSlicesWithoutDecompressingTail) {
+TEST(PartitionLogTest, OffsetLimitMidBatchSlicesWithoutDecompressingTail) {
   PartitionLog log;
   std::vector<std::string> payloads;
   for (int i = 0; i < 4; ++i) {
     payloads.push_back(std::string(120, static_cast<char>('a' + i)));
   }
-  // Two records inside the hour, two past it — one compressed blob.
-  std::vector<TimeMs> times{kT0 + 10, kT0 + 20, kT0 + kMillisPerHour + 5,
-                            kT0 + kMillisPerHour + 6};
-  log.AppendBatch(MakeBatch("h", 1, payloads, kT0, times));
+  // Four records in one compressed blob; the read limit cuts after two.
+  log.AppendBatch(MakeBatch("h", 1, payloads, kT0 + 10));
   const uint64_t full_payload = log.byte_size();  // 480
 
-  auto read = log.ReadFrom(0, log.end_offset(), kT0 + kMillisPerHour);
+  auto read = log.ReadFrom(0, 2, kFarFuture);
   ASSERT_EQ(read.batches.size(), 1u);
   EXPECT_EQ(read.record_count, 2u);
-  // Clean mid-batch resumption point at the hour boundary.
+  // Clean mid-batch resumption point at the offset limit.
   EXPECT_EQ(read.next_offset, 2u);
 
   std::vector<Record> head;
@@ -209,13 +205,13 @@ TEST(PartitionLogTest, HourBoundaryMidBatchSlicesWithoutDecompressingTail) {
   ASSERT_EQ(head.size(), 2u);
   EXPECT_EQ(head[0].payload, payloads[0]);
   EXPECT_EQ(head[1].payload, payloads[1]);
-  EXPECT_EQ(head[1].appended_at, kT0 + 20);
-  // Token-granular incremental decode: the hour's two records materialize
-  // but the blob's tail frames stay compressed.
+  EXPECT_EQ(head[1].appended_at, kT0 + 10);
+  // Token-granular incremental decode: the two included records
+  // materialize but the blob's tail frames stay compressed.
   EXPECT_GE(*materialized, 240u);
   EXPECT_LT(*materialized, full_payload);
 
-  // Resuming at the boundary decodes exactly the tail records via the
+  // Resuming at the limit decodes exactly the tail records via the
   // slice's grown skip_frames — same shared blob, no rewrite.
   auto rest = log.ReadFrom(read.next_offset, log.end_offset(), kFarFuture);
   ASSERT_EQ(rest.batches.size(), 1u);
@@ -230,12 +226,42 @@ TEST(PartitionLogTest, HourBoundaryMidBatchSlicesWithoutDecompressingTail) {
   EXPECT_EQ(tail[1].payload, payloads[3]);
 }
 
+TEST(PartitionLogTest, DecodeBatchRejectsHugeClaimedPayloadLength) {
+  // One frame whose header claims a payload of 2^64 - 1 bytes.
+  std::string frame;
+  PutVarint64(&frame, static_cast<uint64_t>(kT0));
+  PutVarint64(&frame, std::numeric_limits<uint64_t>::max());
+  Batch b;
+  b.count = 1;
+  b.producer = "h";
+  b.first_seq = 1;
+  b.body = std::make_shared<const std::string>(Lz::Compress(frame));
+  std::vector<Record> out;
+  // No size index for the record: rejected before the body is parsed.
+  auto missing_sizes = DecodeBatch(b, &out);
+  ASSERT_FALSE(missing_sizes.ok());
+  EXPECT_TRUE(missing_sizes.status().IsCorruption());
+  EXPECT_TRUE(out.empty());
+
+  // A skipped head frame carries the claim: the size index never checks
+  // it, so the bounds check must.
+  std::string body = frame;
+  AppendBatchFrame(&body, kT0, "a");
+  b.skip_frames = 1;
+  b.record_sizes = {1};
+  b.payload_bytes = 1;
+  b.body = std::make_shared<const std::string>(Lz::Compress(body));
+  auto huge_skip = DecodeBatch(b, &out);
+  ASSERT_FALSE(huge_skip.ok());
+  EXPECT_TRUE(huge_skip.status().IsCorruption());
+}
+
 TEST(PartitionLogTest, AdvanceToOpensExplicitGap) {
   PartitionLog log;
-  log.Append("h", 1, kT0, kT0, "a");
+  log.AppendBatch(MakeBatch("h", 1, {"a"}, kT0));
   log.AdvanceTo(10);  // entries 1..9 died with the old leader
   EXPECT_EQ(log.end_offset(), 10u);
-  EXPECT_EQ(log.Append("h", 2, kT0, kT0, "b").base_offset, 10u);
+  EXPECT_EQ(log.AppendBatch(MakeBatch("h", 2, {"b"}, kT0)).base_offset, 10u);
   // Reading across the gap skips to the next retained record.
   auto read = log.ReadFrom(0, log.end_offset(), kFarFuture);
   std::vector<Record> records = Flatten(read);
@@ -246,7 +272,7 @@ TEST(PartitionLogTest, AdvanceToOpensExplicitGap) {
 
 TEST(PartitionLogTest, MirrorRejectsCoveredRangesAndTracksWatermarks) {
   PartitionLog log;
-  log.Append("h", 1, kT0, kT0, "a");
+  log.AppendBatch(MakeBatch("h", 1, {"a"}, kT0));
   Batch dup = MakeBatch("h", 1, {"zz"}, kT0);
   dup.base_offset = 0;
   EXPECT_FALSE(log.AppendMirror(dup));  // already covered locally
@@ -289,11 +315,10 @@ struct FleetHarness {
                     const std::string& producer, uint64_t seq,
                     const std::string& payload, ProduceAck* ack = nullptr) {
     ProduceAck local;
-    std::vector<ProduceItem> items{ProduceItem{seq, sim.Now(), payload}};
     BrokerNode* leader = Leader(category, partition);
     if (leader == nullptr) return Status::Unavailable("leaderless");
-    return leader->Produce(category, partition, producer, items,
-                           ack != nullptr ? ack : &local);
+    return ProduceBatchOf(leader, category, partition, producer, seq,
+                          {payload}, sim.Now(), ack != nullptr ? ack : &local);
   }
 };
 
@@ -307,36 +332,6 @@ TEST(BrokerNodeTest, AssignedReplicasAreDistinctAndRotate) {
   EXPECT_EQ(r2[0], r1[1]);
   // Replication can never exceed the fleet size.
   EXPECT_EQ(BrokerNode::AssignedReplicas(ids, "x", 0, 9).size(), 4u);
-}
-
-TEST(BrokerNodeTest, ProduceDedupsOnProducerSeq) {
-  BrokerOptions options;
-  options.num_partitions = 1;
-  options.replication_factor = 1;
-  FleetHarness h(1, options);
-  ASSERT_TRUE(h.fleet->EnsureTopic("clicks").ok());
-
-  ProduceAck ack;
-  std::vector<ProduceItem> batch{ProduceItem{1, kT0, "a"},
-                                 ProduceItem{2, kT0, "b"},
-                                 ProduceItem{3, kT0, "c"}};
-  BrokerNode* leader = h.Leader("clicks", 0);
-  ASSERT_NE(leader, nullptr);
-  ASSERT_TRUE(leader->Produce("clicks", 0, "host1", batch, &ack).ok());
-  EXPECT_EQ(ack.accepted, 3u);
-  EXPECT_EQ(ack.deduped, 0u);
-
-  // A crash-retry resend of the same (producer, seq) batch must not
-  // re-append or re-count: entries_sent can never inflate past logged.
-  ASSERT_TRUE(leader->Produce("clicks", 0, "host1", batch, &ack).ok());
-  EXPECT_EQ(ack.accepted, 0u);
-  EXPECT_EQ(ack.deduped, 3u);
-  const BrokerNodeStats stats = leader->stats();
-  EXPECT_EQ(stats.entries_produced, 3u);
-  EXPECT_EQ(stats.entries_duplicate, 3u);
-  auto read = leader->ConsumerFetch("clicks", 0, 0, kFarFuture);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(Flatten(*read).size(), 3u);
 }
 
 TEST(BrokerNodeTest, BatchedProduceDedupsAcrossBatchBoundaries) {
@@ -954,25 +949,17 @@ TEST(BrokerChaosTest, AcksAllWithReplicaDownLosesNoAckedEntry) {
   ExpectExactlyOneLeader(&cluster, options.num_partitions);
 }
 
-// Property: across seeded crash/ack-loss schedules — on the batched AND
-// the record-at-a-time produce path — a daemon's entries_sent (unique
-// acknowledged sends) never exceeds its entries_logged: resends are deduped
-// on (producer, seq), batch overlap included, so crash-retry cannot inflate
-// delivery.
+// Property: across seeded crash/ack-loss schedules a daemon's entries_sent
+// (unique acknowledged sends) never exceeds its entries_logged: resends
+// are deduped on (producer, seq), batch overlap included, so crash-retry
+// cannot inflate delivery.
 TEST(BrokerPropertyTest, CrashRetryNeverInflatesSentPastLogged) {
-  struct SweepCase {
-    uint64_t seed;
-    bool batched;
-  };
-  for (const SweepCase sweep : {SweepCase{1, true}, SweepCase{2, true},
-                                SweepCase{3, true}, SweepCase{1, false}}) {
-    const uint64_t seed = sweep.seed;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
     Simulator sim(kT0);
     BrokerOptions options;
     options.num_partitions = 4;
     options.replication_factor = 2;
     scribe::ScribeOptions scribe_options;
-    scribe_options.broker_batched_produce = sweep.batched;
     scribe::LogMoverOptions mover_options;
     scribe::ScribeCluster cluster(&sim, BrokerTopology(3, options),
                                   scribe_options, mover_options, seed);
@@ -1021,8 +1008,7 @@ TEST(BrokerPropertyTest, CrashRetryNeverInflatesSentPastLogged) {
     obs::DeliveryAudit audit(&cluster);
     const obs::DeliverySnapshot snap = audit.Snapshot();
     EXPECT_TRUE(snap.Balanced())
-        << "seed " << seed << (sweep.batched ? " batched" : " unbatched")
-        << ": " << snap.ToString();
+        << "seed " << seed << ": " << snap.ToString();
     EXPECT_EQ(snap.in_flight_broker, 0u)
         << "seed " << seed << ": " << snap.ToString();
     for (size_t d = 0; d < cluster.daemon_count(0); ++d) {

@@ -593,19 +593,20 @@ TEST_F(SharedScanTest, SharedEqualsIndependentAtEveryThreadCount) {
       executor = std::make_unique<exec::Executor>(eo);
     }
     columnar::ScanStats stats;
-    auto rels =
-        ColumnarEventScan::MaterializeShared(members, executor.get(), &stats);
+    auto rels = ColumnarEventScan::MaterializeSharedBatches(
+        members, executor.get(), &stats);
     ASSERT_TRUE(rels.ok()) << rels.status().ToString();
     ASSERT_EQ(rels->size(), 3u);
     for (size_t i = 0; i < rels->size(); ++i) {
-      EXPECT_EQ(SerializeRelation((*rels)[i]), want[i])
+      EXPECT_EQ(SerializeRelation((*rels)[i].ToRelation().value()), want[i])
           << "threads=" << threads << " member=" << i;
     }
     EXPECT_GT(stats.bytes_decompressed, 0u);
-    // Members' caches were filled: re-materializing is free and identical.
-    auto again = members[0]->Materialize(nullptr);
+    // Members' batch caches were filled: re-materializing is free and
+    // identical.
+    auto again = members[0]->MaterializeBatches(nullptr);
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(SerializeRelation(*again), want[0]);
+    EXPECT_EQ(SerializeRelation(again->ToRelation().value()), want[0]);
   }
 }
 
@@ -623,7 +624,8 @@ TEST_F(SharedScanTest, SharedScanDecompressesLessThanIndependentScans) {
   auto members = MakeMembers(*fresh);
   columnar::ScanStats stats;
   ASSERT_TRUE(
-      ColumnarEventScan::MaterializeShared(members, nullptr, &stats).ok());
+      ColumnarEventScan::MaterializeSharedBatches(members, nullptr, &stats)
+          .ok());
   EXPECT_LT(stats.bytes_decompressed, independent);
 }
 
@@ -633,13 +635,14 @@ TEST_F(SharedScanTest, MembersMustShareOneOpenedScan) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   auto clone_a = std::static_pointer_cast<ColumnarEventScan>((*a)->Clone());
-  EXPECT_TRUE(ColumnarEventScan::MaterializeShared({*a, *b}, nullptr)
+  EXPECT_TRUE(ColumnarEventScan::MaterializeSharedBatches({*a, *b}, nullptr)
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(
-      ColumnarEventScan::MaterializeShared({*a, clone_a}, nullptr).ok());
+      ColumnarEventScan::MaterializeSharedBatches({*a, clone_a}, nullptr)
+          .ok());
   // Degenerate cases: empty and singleton member lists.
-  auto none = ColumnarEventScan::MaterializeShared({}, nullptr);
+  auto none = ColumnarEventScan::MaterializeSharedBatches({}, nullptr);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
 }

@@ -1408,11 +1408,42 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MorselScanPropertyTest,
 // ---------------------------------------------------------------------------
 // Planner neutrality: permuting a workflow's filter clauses never changes
 // its canonical plan (so fingerprint-keyed cache entries written under one
-// ordering HIT under any other) nor its answers, with the planner on or
-// off.
+// ordering HIT under any other) nor its answers, which match a row-engine
+// oracle.
 
 class PlannerReorderPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
+
+// The row engine's answer to a workflow, independent of Oink's planner,
+// pushdown and batch kernels: every row of the hour, then each filter
+// clause as a Relation::Filter, the projection, and the stage.
+Result<dataflow::Relation> RowEngineOracle(const hdfs::MiniHdfs& fs,
+                                           const oink::WorkflowSpec& wf,
+                                           exec::Executor* exec) {
+  UNILOG_ASSIGN_OR_RETURN(
+      auto scan, dataflow::ColumnarEventScan::Open(&fs, wf.input_dir(0)));
+  UNILOG_ASSIGN_OR_RETURN(dataflow::Relation rel, scan->Materialize(exec));
+  for (const auto& clause : wf.filters) {
+    UNILOG_ASSIGN_OR_RETURN(size_t idx, rel.ColumnIndex(clause.column));
+    rel = rel.Filter(
+        [&clause, idx](const dataflow::Row& row) {
+          return dataflow::EvalFilterOp(row[idx], clause.op, clause.literal);
+        },
+        exec);
+  }
+  if (!wf.project_cols.empty()) {
+    UNILOG_ASSIGN_OR_RETURN(dataflow::Relation projected,
+                            rel.Project(wf.project_cols, exec));
+    UNILOG_ASSIGN_OR_RETURN(
+        rel, dataflow::Relation::FromRows(
+                 wf.project_names,
+                 std::vector<dataflow::Row>(projected.rows())));
+  }
+  if (wf.stage) {
+    UNILOG_ASSIGN_OR_RETURN(rel, wf.stage(rel));
+  }
+  return rel;
+}
 
 TEST_P(PlannerReorderPropertyTest, FilterPermutationsShareFingerprintAndHits) {
   Rng rng(GetParam());
@@ -1459,15 +1490,24 @@ TEST_P(PlannerReorderPropertyTest, FilterPermutationsShareFingerprintAndHits) {
     EXPECT_EQ(b.last_tick().scan_bytes_decompressed, 0u);
     EXPECT_EQ(dataflow::SerializeRelation(b.ResultFor("wf").value()), want);
 
-    // Planner off, cache off, row engine: same bytes.
+    // Cache off: same bytes, and the same bytes as the row-engine oracle
+    // (serial or on an executor).
     oink::OinkOptions raw;
     raw.enable_cache = false;
-    raw.enable_planner = false;
-    raw.use_batch_engine = rng.Uniform(2) == 0;
     oink::WorkflowEngine c(&fs, raw);
     ASSERT_TRUE(c.AddWorkflow(permuted).ok());
     ASSERT_TRUE(c.RunTick(0).ok());
     EXPECT_EQ(dataflow::SerializeRelation(c.ResultFor("wf").value()), want);
+    std::unique_ptr<exec::Executor> executor;
+    if (rng.Uniform(2) == 0) {
+      exec::ExecOptions eo;
+      eo.threads = 2;
+      executor = std::make_unique<exec::Executor>(eo);
+    }
+    auto oracle = RowEngineOracle(fs, permuted, executor.get());
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    EXPECT_EQ(dataflow::SerializeRelation(*oracle), want)
+        << "seed=" << GetParam() << " iter=" << iter;
   }
 }
 

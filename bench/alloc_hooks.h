@@ -33,32 +33,61 @@ class AllocScope {
   uint64_t start_;
 };
 
+// Counted allocation; nullptr on failure.
+inline void* CountedMalloc(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+
+inline void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+#if defined(_WIN32)
+  return _aligned_malloc(size ? size : 1, a);
+#else
+  return std::aligned_alloc(a, (size + a - 1) / a * a);
+#endif
+}
+
 }  // namespace unilog::bench
 
 void* operator new(std::size_t size) {
-  unilog::bench::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = unilog::bench::CountedMalloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  unilog::bench::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-#if defined(_WIN32)
-  void* p = _aligned_malloc(size ? size : 1, static_cast<std::size_t>(align));
-#else
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) /
-                                   static_cast<std::size_t>(align) *
-                                   static_cast<std::size_t>(align));
-#endif
-  if (p != nullptr) return p;
+  if (void* p = unilog::bench::CountedAlignedAlloc(size, align)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer, among others)
+// are replaced too, so each allocation is counted once and released by the
+// std::free-based deletes below. Left to the runtime, they come from an
+// allocator those deletes do not own: AddressSanitizer reports
+// alloc-dealloc-mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return unilog::bench::CountedMalloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return unilog::bench::CountedMalloc(size);
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return unilog::bench::CountedAlignedAlloc(size, align);
+}
+
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return unilog::bench::CountedAlignedAlloc(size, align);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -71,6 +100,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

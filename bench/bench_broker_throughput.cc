@@ -22,9 +22,10 @@
 //
 // A separate light-load phase runs the broker tier below saturation and
 // digests the landed warehouse hour: FNV-1a over the sorted (path, bytes)
-// of every part. At the default seed the digest must equal a golden value
-// recorded when the record-at-a-time path still existed and landed the
-// same bytes; other seeds print the digest and skip the comparison.
+// of every part. The digest must equal a golden value recorded when the
+// record-at-a-time path still existed and landed the same bytes, at every
+// seed: the light-load payload stream is fixed, and the seed only feeds
+// retry jitter, which never fires below saturation.
 //
 // Exits nonzero when an audit breaks, the broker fails to drain, an intake
 // floor is missed, or the landed bytes differ from the golden digest.
@@ -53,9 +54,9 @@ constexpr int kPayloadBytes = 500;
 constexpr int kEntriesPerTick = 220;  // every 100 ms -> ~1.1 MB/s offered
 constexpr int kBrokerNodes = 4;
 
-constexpr uint64_t kGoldenSeed = 77;
-// Landed-hour digest of the light-load phase at kGoldenSeed, recorded while
-// the batched and record-at-a-time produce paths both existed and landed
+constexpr uint64_t kDefaultSeed = 77;
+// Landed-hour digest of the light-load phase (any seed), recorded while the
+// batched and record-at-a-time produce paths both existed and landed
 // byte-identical parts.
 constexpr uint64_t kGoldenLandedDigest = 0x24865a8ef3deee76ull;
 
@@ -247,7 +248,7 @@ uint64_t RunLightLoadDigest(uint64_t seed, size_t* parts, bool* audit_ok) {
 
 int main(int argc, char** argv) {
   using namespace unilog;
-  uint64_t seed = bench::ParseSeedFlag(&argc, argv, kGoldenSeed);
+  uint64_t seed = bench::ParseSeedFlag(&argc, argv, kDefaultSeed);
   std::printf(
       "=== E25: compressed record batches through the broker tier ===\n"
       "per-node service rate R = %llu KB/s for every tier; offered load "
@@ -294,14 +295,10 @@ int main(int argc, char** argv) {
   size_t light_parts = 0;
   const uint64_t digest = RunLightLoadDigest(seed, &light_parts,
                                              &light_audit_ok);
-  const bool golden_checked = seed == kGoldenSeed;
-  const bool digest_ok = light_parts > 0 &&
-                         (!golden_checked || digest == kGoldenLandedDigest);
+  const bool digest_ok = light_parts > 0 && digest == kGoldenLandedDigest;
   std::printf("landed digest (light load, %zu parts): %016llx %s\n",
               light_parts, static_cast<unsigned long long>(digest),
-              !golden_checked ? "(golden covers --seed=77 only)"
-              : digest_ok     ? "matches golden"
-                              : "DIFFERS FROM GOLDEN");
+              digest_ok ? "matches golden" : "DIFFERS FROM GOLDEN");
 
   bool ok = baseline.audit_ok && broker.audit_ok && light_audit_ok &&
             capacity_multiple >= 3.0 && baseline_multiple >= 6.0 &&

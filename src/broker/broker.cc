@@ -643,7 +643,11 @@ void BrokerNode::ScheduleReplicaFetch() {
 void BrokerNode::FetchFromLeaders() {
   for (auto& [key, r] : replicas_) {
     if (r.leader) continue;
-    auto winner = ElectLeader(*zk_, dc_, key.first, key.second);
+    if (!r.election || r.election_zk_mutations != zk_->mutation_count()) {
+      r.election = ElectLeader(*zk_, dc_, key.first, key.second);
+      r.election_zk_mutations = zk_->mutation_count();
+    }
+    const Result<std::string>& winner = *r.election;
     if (!winner.ok() || *winner == id_ || !resolve_) continue;
     BrokerNode* leader = resolve_(*winner);
     if (leader == nullptr || !leader->alive()) continue;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -244,6 +245,11 @@ class BrokerNode {
     // lowest such offset pins the acked watermark until a resend resolves
     // it, keeping unacked records invisible to consumers.
     std::map<std::string, uint64_t> unacked_min_offset;
+    // Follower polls: the last ElectLeader answer, reused while zk's
+    // mutation_count() still equals election_zk_mutations (the election
+    // reads nothing but zk).
+    std::optional<Result<std::string>> election;
+    uint64_t election_zk_mutations = 0;
   };
   using PartitionKey = std::pair<std::string, int>;
 

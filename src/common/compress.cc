@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 
 #include "common/coding.h"
@@ -22,6 +23,29 @@ uint32_t Hash4(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+// Length of the common prefix of a[0, max_len) and b[0, max_len), compared
+// eight bytes at a time: the first differing byte of two words is the
+// lowest set byte of their XOR on a little-endian host (highest on a
+// big-endian one). The last fewer-than-8 bytes are compared one by one.
+size_t MatchLength(const char* a, const char* b, size_t max_len) {
+  size_t len = 0;
+  while (len + 8 <= max_len) {
+    uint64_t x, y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (uint64_t diff = x ^ y; diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + (std::countr_zero(diff) >> 3);
+      } else {
+        return len + (std::countl_zero(diff) >> 3);
+      }
+    }
+    len += 8;
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
 }
 
 void EmitLiterals(std::string* out, std::string_view input, size_t begin,
@@ -56,10 +80,17 @@ Status DecodeToken(Decoder* dec, uint64_t expected_len, std::string* out) {
     return Status::Corruption("lz: bad match distance");
   }
   if (len > room) return Status::Corruption("lz: length mismatch");
-  size_t src = out->size() - dist;
-  // Byte-by-byte copy: matches may overlap their own output.
-  for (uint64_t k = 0; k < len; ++k) {
-    out->push_back((*out)[src + k]);
+  const size_t start = out->size();
+  out->resize(start + len);
+  char* dst = out->data() + start;
+  const char* src = dst - dist;
+  // A match may overlap its own output (dist < len). Chunks of at most
+  // `dist` bytes never overlap, and each reads only bytes already written.
+  for (size_t done = 0; done < len;) {
+    const size_t chunk =
+        static_cast<size_t>(std::min<uint64_t>(len - done, dist));
+    std::memcpy(dst + done, src + done, chunk);
+    done += chunk;
   }
   return Status::OK();
 }
@@ -100,19 +131,24 @@ void Lz::Compressor::CompressTo(std::string_view input, std::string* out) {
     size_t best_dist = 0;
     uint32_t cand = head_get(h);
     int steps = 0;
+    const size_t max_len = input.size() - i;
+    const char* here = input.data() + i;
     while (cand != 0 && steps < kMaxChainSteps) {
       size_t pos = cand - 1;
       if (i - pos > kWindow) break;
-      // Extend the match.
-      size_t len = 0;
-      size_t max_len = input.size() - i;
-      while (len < max_len && input[pos + len] == input[i + len]) ++len;
+      cand = prev_[pos];
+      ++steps;
+      const char* there = input.data() + pos;
+      // A candidate replaces the best only with a strictly longer match, so
+      // one that differs at byte best_len cannot win. (best_len < max_len
+      // here: the walk stops once a match reaches the input end.)
+      if (best_len != 0 && there[best_len] != here[best_len]) continue;
+      size_t len = MatchLength(there, here, max_len);
       if (len >= kMinMatch && len > best_len) {
         best_len = len;
         best_dist = i - pos;
+        if (len == max_len) break;  // no later candidate can be longer
       }
-      cand = prev_[pos];
-      ++steps;
     }
 
     if (best_len >= kMinMatch) {

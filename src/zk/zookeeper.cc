@@ -124,6 +124,7 @@ Result<std::string> ZooKeeper::Create(SessionId session,
     session_ephemerals_[session].insert(actual);
   }
   nodes_[actual] = std::move(node);
+  ++mutation_count_;
   znodes_created_->Increment();
 
   FireWatches(&exists_watchers_, &pending_exists_, actual,
@@ -146,6 +147,7 @@ Status ZooKeeper::DeleteInternal(const std::string& path) {
 
   SessionId owner = it->second.ephemeral_owner;
   nodes_.erase(it);
+  ++mutation_count_;
   znodes_deleted_->Increment();
   if (owner != 0) {
     auto sit = session_ephemerals_.find(owner);
@@ -182,6 +184,7 @@ Status ZooKeeper::SetData(SessionId session, const std::string& path,
   if (it == nodes_.end()) return Status::NotFound("no such znode: " + path);
   it->second.data = data;
   ++it->second.version;
+  ++mutation_count_;
   FireWatches(&data_watchers_, &pending_data_, path, WatchEvent::kDataChanged);
   return Status::OK();
 }

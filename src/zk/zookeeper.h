@@ -128,6 +128,11 @@ class ZooKeeper {
   // --- Introspection ---
 
   size_t znode_count() const { return nodes_.size(); }
+  /// Count of tree changes: every successful create, delete (explicit or a
+  /// closed session's ephemeral) and SetData adds one; reads never do. An
+  /// unchanged count means every read returns what it returned before, so
+  /// callers may memoize answers derived from zk state on it.
+  uint64_t mutation_count() const { return mutation_count_; }
   uint64_t watch_fires() const { return watch_fires_->value(); }
   uint64_t sessions_opened() const { return sessions_opened_->value(); }
   uint64_t sessions_closed() const { return sessions_closed_->value(); }
@@ -166,6 +171,7 @@ class ZooKeeper {
   std::map<SessionId, std::set<std::string>> session_ephemerals_;
   std::set<SessionId> live_sessions_;
   SessionId next_session_ = 1;
+  uint64_t mutation_count_ = 0;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::Counter* sessions_opened_;

@@ -600,6 +600,126 @@ TEST(BrokerNodeTest, FailoverElectsMostCaughtUpReplica) {
   EXPECT_EQ(ack.deduped, 1u);
 }
 
+// Follower polls reuse their last election until zk mutates. These two
+// cases check that every kind of change a poll must see still reaches it.
+
+TEST(BrokerNodeTest, FollowerPollFollowsNewLeaderAfterSessionExpiry) {
+  BrokerOptions options;
+  options.num_partitions = 1;
+  options.replication_factor = 3;
+  options.replica_fetch_interval_ms = 500;
+  FleetHarness h(3, options);
+  ASSERT_TRUE(h.fleet->EnsureTopic("clicks").ok());
+
+  BrokerNode* first = h.Leader("clicks", 0);
+  ASSERT_NE(first, nullptr);
+  for (uint64_t seq = 1; seq <= 4; ++seq) {
+    ASSERT_TRUE(h.ProduceOne("clicks", 0, "host1", seq, "payload").ok());
+  }
+  // Both followers mirror through several polls, each electing `first`.
+  h.sim.RunUntil(kT0 + 2 * kMillisPerSecond);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(h.fleet->node(i)->MirrorEndOffset("clicks", 0), 4u) << i;
+  }
+
+  // The leader's session expires. It re-registers behind the others, so a
+  // former follower wins the tie on end offset.
+  ASSERT_TRUE(first->ExpireSession().ok());
+  h.sim.RunUntil(h.sim.Now() + 1);
+  BrokerNode* second = h.Leader("clicks", 0);
+  ASSERT_NE(second, nullptr);
+  ASSERT_NE(second, first);
+  BrokerNode* third = nullptr;
+  for (int i = 0; i < 3; ++i) {
+    BrokerNode* n = h.fleet->node(i);
+    if (n != first && n != second) third = n;
+  }
+  ASSERT_NE(third, nullptr);
+  for (uint64_t seq = 5; seq <= 8; ++seq) {
+    ASSERT_TRUE(h.ProduceOne("clicks", 0, "host1", seq, "payload").ok());
+  }
+
+  // One poll later both followers hold the new leader's records: each
+  // fetched from `second`, not from the old leader's stale log.
+  h.sim.RunUntil(kT0 + 2 * kMillisPerSecond + 500);
+  EXPECT_EQ(second->MirrorEndOffset("clicks", 0), 8u);
+  EXPECT_EQ(third->MirrorEndOffset("clicks", 0), 8u);
+  EXPECT_EQ(first->MirrorEndOffset("clicks", 0), 8u);
+}
+
+TEST(BrokerNodeTest, PublishedEndOffsetChangeFlipsFollowerElection) {
+  BrokerOptions options;
+  options.num_partitions = 1;
+  options.replication_factor = 3;
+  options.replica_fetch_interval_ms = 500;
+  FleetHarness h(3, options);
+  ASSERT_TRUE(h.fleet->EnsureTopic("clicks").ok());
+
+  BrokerNode* leader = h.Leader("clicks", 0);
+  ASSERT_NE(leader, nullptr);
+  for (uint64_t seq = 1; seq <= 4; ++seq) {
+    ASSERT_TRUE(h.ProduceOne("clicks", 0, "host1", seq, "payload").ok());
+  }
+  h.sim.RunUntil(kT0 + 2 * kMillisPerSecond);
+  std::vector<BrokerNode*> followers;
+  for (int i = 0; i < 3; ++i) {
+    if (h.fleet->node(i) != leader) followers.push_back(h.fleet->node(i));
+  }
+  ASSERT_EQ(followers.size(), 2u);
+  ASSERT_EQ(followers[1]->MirrorEndOffset("clicks", 0), 4u);
+
+  // Advertise a far longer log for followers[0]'s candidate znode: it is
+  // now the most caught-up candidate, though nobody re-runs the leader's
+  // own election (no membership change).
+  const std::string dir = CandidatesPath("dc1", "clicks", 0);
+  auto names = h.zk.GetChildren(dir);
+  ASSERT_TRUE(names.ok());
+  std::string boosted;
+  for (const std::string& name : *names) {
+    if (name.rfind("m-" + followers[0]->id() + "-", 0) == 0) {
+      boosted = dir + "/" + name;
+    }
+  }
+  ASSERT_FALSE(boosted.empty());
+  zk::SessionId admin = h.zk.CreateSession();
+  ASSERT_TRUE(h.zk.SetData(admin, boosted, "1000").ok());
+  auto winner = ElectLeader(h.zk, "dc1", "clicks", 0);
+  ASSERT_TRUE(winner.ok());
+  ASSERT_EQ(*winner, followers[0]->id());
+
+  // The leader still takes produces. On the next poll followers[1] elects
+  // followers[0], which does not fetch (it elects itself), so neither
+  // sees the new records.
+  ProduceAck ack;
+  ASSERT_TRUE(ProduceBatchOf(leader, "clicks", 0, "host1", 5,
+                             {"p5", "p6", "p7", "p8"}, h.sim.Now(), &ack)
+                  .ok());
+  h.sim.RunUntil(kT0 + 3 * kMillisPerSecond);
+  EXPECT_EQ(leader->MirrorEndOffset("clicks", 0), 8u);
+  EXPECT_EQ(followers[0]->MirrorEndOffset("clicks", 0), 4u);
+  EXPECT_EQ(followers[1]->MirrorEndOffset("clicks", 0), 4u);
+
+  // Restoring the true offset flips the election back on the next poll,
+  // and both followers catch up from the leader.
+  ASSERT_TRUE(h.zk.SetData(admin, boosted, "4").ok());
+  h.sim.RunUntil(kT0 + 3 * kMillisPerSecond + 500);
+  EXPECT_EQ(followers[0]->MirrorEndOffset("clicks", 0), 8u);
+  EXPECT_EQ(followers[1]->MirrorEndOffset("clicks", 0), 8u);
+
+  // Boost again, then crash the boosted node: its znodes vanish with its
+  // session, so deletions are the only zk changes before the next poll,
+  // and followers[1] returns to the leader.
+  ASSERT_TRUE(h.zk.SetData(admin, boosted, "1000").ok());
+  ASSERT_TRUE(ProduceBatchOf(leader, "clicks", 0, "host1", 9,
+                             {"p9", "p10", "p11", "p12"}, h.sim.Now(), &ack)
+                  .ok());
+  h.sim.RunUntil(kT0 + 4 * kMillisPerSecond);
+  ASSERT_EQ(followers[1]->MirrorEndOffset("clicks", 0), 8u);
+  followers[0]->Crash();
+  h.sim.RunUntil(kT0 + 4 * kMillisPerSecond + 500);
+  EXPECT_EQ(followers[1]->MirrorEndOffset("clicks", 0), 12u);
+}
+
 TEST(BrokerNodeTest, UnreplicatedAckedEntriesAreChargedToFailoverLoss) {
   BrokerOptions options;
   options.num_partitions = 1;

@@ -16,6 +16,7 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/utf8.h"
+#include "lz_oracle.h"
 
 namespace unilog {
 namespace {
@@ -669,6 +670,182 @@ TEST(LzTest, MixedContentRoundTrip) {
   auto d = Lz::Decompress(Lz::Compress(data));
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(*d, data);
+}
+
+
+// ---------------------------------------------------------------------------
+// LZ codec against the byte-loop oracles (tests/lz_oracle.h)
+
+// Random bytes over the first `alphabet` letters: small alphabets make
+// chain candidates with long shared prefixes, large ones make mostly
+// literals.
+std::string RandomText(Rng* rng, size_t size, int alphabet) {
+  std::string data(size, '\0');
+  for (char& c : data) c = static_cast<char>('a' + rng->Uniform(alphabet));
+  return data;
+}
+
+// Asserts the pooled compressor, the fresh-state reference and the
+// byte-loop oracle agree on `data`, and that the block round-trips.
+void ExpectOracleBytes(const std::string& data, const std::string& label) {
+  const std::string want = lz_oracle::Compress(data);
+  ASSERT_EQ(Lz::Compress(data), want) << label;
+  ASSERT_EQ(Lz::CompressReference(data), want) << label;
+  auto back = Lz::Decompress(want);
+  ASSERT_TRUE(back.ok()) << label;
+  ASSERT_EQ(*back, data) << label;
+}
+
+TEST(LzOracleTest, EveryLengthUpTo300) {
+  Rng rng(101);
+  for (size_t size = 0; size <= 300; ++size) {
+    for (int alphabet : {1, 2, 4, 26}) {
+      ExpectOracleBytes(RandomText(&rng, size, alphabet),
+                        "size=" + std::to_string(size) +
+                            " alphabet=" + std::to_string(alphabet));
+    }
+  }
+}
+
+TEST(LzOracleTest, WindowStraddles) {
+  // Repeats of a phrase whose earlier copy sits just inside or just outside
+  // the 64 KiB window, with random filler so chains hold stale candidates.
+  Rng rng(103);
+  const std::string phrase = "home:timeline:tweet:impression|";
+  for (size_t gap :
+       {Lz::kWindow - phrase.size() - 2, Lz::kWindow - phrase.size(),
+        Lz::kWindow - 1, Lz::kWindow, Lz::kWindow + 1, Lz::kWindow + 9}) {
+    std::string data = phrase + RandomText(&rng, gap, 26) + phrase;
+    data += RandomText(&rng, 7, 3) + phrase + phrase.substr(0, 11);
+    ExpectOracleBytes(data, "gap=" + std::to_string(gap));
+  }
+}
+
+TEST(LzOracleTest, SingleByteRuns) {
+  Rng rng(107);
+  for (size_t run : {1ul, 3ul, 4ul, 5ul, 8ul, 9ul, 15ul, 16ul, 17ul, 63ul,
+                     64ul, 65ul, 66ul, 1000ul, 70000ul}) {
+    ExpectOracleBytes(std::string(run, 'x'), "run=" + std::to_string(run));
+    std::string mixed = RandomText(&rng, 5, 26) + std::string(run, 'x') +
+                        RandomText(&rng, 5, 26) + std::string(run / 2, 'x');
+    ExpectOracleBytes(mixed, "mixed run=" + std::to_string(run));
+  }
+}
+
+TEST(LzOracleTest, ShortPeriodsEndOnEveryWordOffset) {
+  // A period-p pattern broken by a random byte: match extension stops at
+  // the break, and over p = 1..9 and every break position the stop lands
+  // on each offset mod 8 of the 8-byte compare.
+  Rng rng(109);
+  for (size_t period = 1; period <= 9; ++period) {
+    const std::string unit = RandomText(&rng, period, 26);
+    for (size_t brk = 0; brk < 40; ++brk) {
+      std::string data;
+      while (data.size() < 3 * period + brk + 24) data += unit;
+      data[period + brk] = '#';
+      data += RandomText(&rng, brk % 5, 2);
+      for (int rep = 0; rep < 3; ++rep) data += unit;
+      ExpectOracleBytes(data, "period=" + std::to_string(period) +
+                                  " break=" + std::to_string(brk));
+    }
+  }
+}
+
+TEST(LzOracleTest, MatchesEndingAtInputEnd) {
+  // The input ends inside a repeat, so the longest match reaches the end
+  // of the input at every tail length (word-sized or not).
+  Rng rng(113);
+  for (size_t tail = 0; tail < 40; ++tail) {
+    const std::string phrase = RandomText(&rng, 48, 26);
+    std::string data = phrase + RandomText(&rng, 3, 26) + phrase +
+                       RandomText(&rng, 2, 26) + phrase.substr(0, tail);
+    ExpectOracleBytes(data, "tail=" + std::to_string(tail));
+    ExpectOracleBytes(phrase + phrase.substr(0, tail),
+                      "bare tail=" + std::to_string(tail));
+  }
+}
+
+TEST(LzOracleTest, ReusedCompressorAcrossDecreasingSizes) {
+  Rng rng(127);
+  Lz::Compressor compressor;
+  std::string out;
+  for (size_t size : {150000ul, 65537ul, 4096ul, 300ul, 64ul, 9ul, 4ul, 3ul,
+                      0ul}) {
+    std::string data;
+    while (data.size() < size) {
+      data += rng.Bernoulli(0.5) ? std::string("web:home:mentions:avatar|")
+                                 : RandomText(&rng, 1 + rng.Uniform(40), 26);
+    }
+    data.resize(size);
+    compressor.CompressTo(data, &out);
+    ASSERT_EQ(out, lz_oracle::Compress(data)) << "size=" << size;
+  }
+}
+
+// A block of `prefix` as one literal run, then one back-reference.
+std::string MatchBlock(const std::string& prefix, uint64_t dist, uint64_t len,
+                       uint64_t header) {
+  std::string block;
+  PutVarint64(&block, header);
+  block.push_back('\x00');
+  PutVarint64(&block, prefix.size());
+  block += prefix;
+  block.push_back('\x01');
+  PutVarint64(&block, dist);
+  PutVarint64(&block, len);
+  return block;
+}
+
+TEST(LzDecodeTest, OverlappingMatchesMatchByteLoopCopy) {
+  Rng rng(131);
+  for (uint64_t dist = 1; dist <= 9; ++dist) {
+    for (uint64_t len = 1; len <= 200; ++len) {
+      const std::string prefix = RandomText(&rng, dist + rng.Uniform(3), 26);
+      std::string want = prefix;
+      lz_oracle::CopyMatch(&want, dist, len);
+      const std::string block =
+          MatchBlock(prefix, dist, len, prefix.size() + len);
+      auto got = Lz::Decompress(block);
+      ASSERT_TRUE(got.ok()) << "dist=" << dist << " len=" << len;
+      ASSERT_EQ(*got, want) << "dist=" << dist << " len=" << len;
+      Lz::IncrementalDecompressor inc(block);
+      ASSERT_TRUE(inc.DecodeUntil(SIZE_MAX).ok());
+      ASSERT_EQ(inc.output(), want) << "dist=" << dist << " len=" << len;
+    }
+  }
+}
+
+TEST(LzDecodeTest, DecodeUntilEveryTargetIsPrefixOfDecompress) {
+  Rng rng(137);
+  std::string data;
+  while (data.size() < 3000) {
+    data += rng.Bernoulli(0.6) ? std::string(1 + rng.Uniform(30), 'q')
+                               : RandomText(&rng, 1 + rng.Uniform(20), 3);
+  }
+  const std::string block = Lz::Compress(data);
+  auto full = Lz::Decompress(block);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(*full, data);
+  for (size_t target = 0; target <= data.size() + 1; ++target) {
+    Lz::IncrementalDecompressor inc(block);
+    ASSERT_TRUE(inc.DecodeUntil(target).ok()) << "target=" << target;
+    const std::string& out = inc.output();
+    ASSERT_GE(out.size(), std::min(target, data.size())) << target;
+    ASSERT_EQ(out, full->substr(0, out.size())) << "target=" << target;
+  }
+}
+
+TEST(LzDecodeTest, HugeMatchAfterOneByteLiteralRejectedBeforeResize) {
+  // One literal byte, then a distance-1 match claiming 2^40 bytes against
+  // an 8-byte header: Corruption, with nothing of the match written.
+  const std::string block = MatchBlock("z", 1, uint64_t{1} << 40, 8);
+  auto d = Lz::Decompress(block);
+  ASSERT_FALSE(d.ok());
+  EXPECT_TRUE(d.status().IsCorruption()) << d.status().ToString();
+  Lz::IncrementalDecompressor inc(block);
+  EXPECT_TRUE(inc.DecodeUntil(SIZE_MAX).IsCorruption());
+  EXPECT_EQ(inc.output(), "z");
+  EXPECT_LT(inc.output().capacity(), size_t{1} << 20);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "common/coding.h"
 #include "common/compress.h"
 #include "common/rng.h"
+#include "common/sim_time.h"
 #include "common/strings.h"
 #include "common/utf8.h"
 #include "dataflow/mapreduce.h"
@@ -31,6 +32,9 @@
 #include "sessions/sessionizer.h"
 #include "thrift/compact_protocol.h"
 #include "thrift/value.h"
+#include "lz_oracle.h"
+#include "scribe/message.h"
+#include "workload/generator.h"
 
 namespace unilog {
 namespace {
@@ -127,8 +131,105 @@ TEST_P(LzPropertyTest, PooledMatchesReferenceAndRoundTrips) {
   }
 }
 
+TEST_P(LzPropertyTest, MatchesByteLoopOracle) {
+  // The match kernel must pick exactly the (distance, length) of the
+  // byte-at-a-time greedy parse on every buffer; a reused Compressor sees
+  // the sizes in random order.
+  Rng rng(GetParam() * 104729 + 3);
+  Lz::Compressor compressor;
+  std::string out;
+  for (int iter = 0; iter < 12; ++iter) {
+    std::string data =
+        rng.Bernoulli(0.5) ? RandomBuffer(rng) : WindowBoundaryBuffer(rng);
+    compressor.CompressTo(data, &out);
+    ASSERT_EQ(out, lz_oracle::Compress(data))
+        << "seed=" << GetParam() << " iter=" << iter
+        << " size=" << data.size();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LzPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+// The pinned corpus: framed batches of compact-Thrift client events from
+// the workload generator at a fixed seed, in batch sizes from one entry
+// to a busy daemon's flush, plus the codec's edge cases.
+std::vector<std::string> PinnedLzCorpus() {
+  workload::WorkloadOptions opts;
+  opts.seed = 2012;
+  opts.num_users = 40;
+  opts.start = MakeDate(2012, 8, 20);
+  opts.duration = 2 * kMillisPerHour;
+  workload::WorkloadGenerator generator(opts);
+  std::vector<std::string> messages;
+  Status st = generator.Generate([&](const events::ClientEvent& ev) {
+    messages.push_back(ev.Serialize());
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+
+  std::vector<std::string> corpus;
+  size_t next = 0;
+  for (size_t batch : {1u, 2u, 5u, 16u, 64u, 256u, 1024u}) {
+    for (int rep = 0; rep < 3 && !messages.empty(); ++rep) {
+      std::string body;
+      for (size_t k = 0; k < batch; ++k) {
+        scribe::AppendFramed(&body, messages[next++ % messages.size()]);
+      }
+      corpus.push_back(std::move(body));
+    }
+  }
+  corpus.emplace_back();
+  corpus.emplace_back("abc");
+  corpus.emplace_back("abcd");
+  corpus.emplace_back(9, 'x');
+  corpus.emplace_back(70000, 'x');
+  for (size_t period = 1; period <= 9; ++period) {
+    std::string unit = messages.empty() ? "p" : messages[period];
+    unit.resize(period, '.');
+    std::string data;
+    while (data.size() < 500 + period) data += unit;
+    data[250 + period] ^= 0x20;
+    corpus.push_back(std::move(data));
+  }
+  {
+    // One phrase repeated just inside and just outside the 64 KiB window.
+    std::string data = "window-straddle-phrase";
+    data.append(Lz::kWindow - 23, '\x01');
+    data += "window-straddle-phrase";
+    data.append(Lz::kWindow + 1, '\x02');
+    data += "window-straddle-phrase";
+    corpus.push_back(std::move(data));
+  }
+  {
+    // A repeat that runs to the very end of the input.
+    std::string data = messages.empty() ? "tail" : messages[0];
+    data += data;
+    corpus.push_back(std::move(data));
+  }
+  return corpus;
+}
+
+TEST(LzCorpusTest, ReferenceDigestPinned) {
+  // FNV-1a over each input's length and Lz::CompressReference bytes,
+  // recorded before the match kernel moved to word-at-a-time extension.
+  // The input digest tells a drifted corpus from drifted codec output.
+  constexpr uint64_t kInputDigest = 0x9c7a207cfcab9158ull;
+  constexpr uint64_t kCompressedDigest = 0xb697f1c02f1d7915ull;
+  const std::vector<std::string> corpus = PinnedLzCorpus();
+  uint64_t inputs = 1469598103934665603ull;
+  uint64_t compressed = 1469598103934665603ull;
+  for (const std::string& data : corpus) {
+    const std::string block = Lz::CompressReference(data);
+    ASSERT_EQ(block, lz_oracle::Compress(data)) << "size=" << data.size();
+    inputs = lz_oracle::Fnv1a(inputs, std::to_string(data.size()) + ":");
+    inputs = lz_oracle::Fnv1a(inputs, data);
+    compressed =
+        lz_oracle::Fnv1a(compressed, std::to_string(block.size()) + ":");
+    compressed = lz_oracle::Fnv1a(compressed, block);
+  }
+  EXPECT_EQ(inputs, kInputDigest) << std::hex << "0x" << inputs;
+  EXPECT_EQ(compressed, kCompressedDigest) << std::hex << "0x" << compressed;
+}
 
 // ---------------------------------------------------------------------------
 // Thrift: randomly generated values round-trip through the compact

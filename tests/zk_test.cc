@@ -122,6 +122,47 @@ TEST(ZooKeeperTest, EphemeralNodesDieWithSession) {
   EXPECT_TRUE(zk.Exists("/aggregators"));
 }
 
+TEST(ZooKeeperTest, MutationCountMovesOnWritesOnly) {
+  ZooKeeper zk;
+  SessionId s = zk.CreateSession();
+  SessionId agg = zk.CreateSession();
+  uint64_t n = zk.mutation_count();
+
+  ASSERT_TRUE(zk.Create(s, "/a", "", CreateMode::kPersistent).ok());
+  EXPECT_EQ(zk.mutation_count(), ++n);
+  ASSERT_TRUE(zk.Create(agg, "/a/e-", "0", CreateMode::kEphemeralSequential)
+                  .ok());
+  EXPECT_EQ(zk.mutation_count(), ++n);
+  ASSERT_TRUE(zk.Create(agg, "/a/f", "", CreateMode::kEphemeral).ok());
+  EXPECT_EQ(zk.mutation_count(), ++n);
+  ASSERT_TRUE(zk.SetData(s, "/a/e-0000000000", "7").ok());
+  EXPECT_EQ(zk.mutation_count(), ++n);
+  ASSERT_TRUE(zk.Create(s, "/b", "", CreateMode::kPersistent).ok());
+  EXPECT_EQ(zk.mutation_count(), ++n);
+  ASSERT_TRUE(zk.Delete(s, "/b").ok());
+  EXPECT_EQ(zk.mutation_count(), ++n);
+
+  // Reads, watch registration, session opens and refused writes leave the
+  // tree, and so the count, alone.
+  EXPECT_TRUE(zk.GetData("/a/e-0000000000").ok());
+  EXPECT_TRUE(zk.GetChildren("/a").ok());
+  EXPECT_TRUE(zk.Exists("/a"));
+  EXPECT_TRUE(zk.Stat("/a").ok());
+  zk.WatchData("/a", [](WatchEvent, const std::string&) {});
+  zk.WatchChildren("/a", [](WatchEvent, const std::string&) {});
+  zk.CreateSession();
+  EXPECT_FALSE(zk.Create(s, "/a", "", CreateMode::kPersistent).ok());
+  EXPECT_FALSE(zk.Delete(s, "/missing").ok());
+  EXPECT_FALSE(zk.Delete(s, "/a").ok());  // has children
+  EXPECT_FALSE(zk.SetData(s, "/missing", "x").ok());
+  EXPECT_EQ(zk.mutation_count(), n);
+
+  // A closed session's ephemerals are deletions too: one step each.
+  ASSERT_TRUE(zk.CloseSession(agg).ok());
+  EXPECT_EQ(zk.mutation_count(), n + 2);
+  EXPECT_TRUE(zk.GetChildren("/a")->empty());
+}
+
 TEST(ZooKeeperTest, EphemeralCannotHaveChildren) {
   ZooKeeper zk;
   SessionId s = zk.CreateSession();
